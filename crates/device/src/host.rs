@@ -78,6 +78,10 @@ pub struct HostCore {
     /// Span context of each MSI, parallel to `interrupts`, so the handler
     /// entry can close the originating transfer's root span.
     irq_spans: Vec<Option<TraceCtx>>,
+    /// `(vector, count)` tallies of `interrupts`, in first-seen order, so
+    /// a count is a lookup over the few distinct vectors rather than a
+    /// scan of the whole log.
+    irq_counts: Vec<(u32, usize)>,
     /// Writes delivered into DRAM: count and bytes.
     pub dram_writes: Counter,
     /// Bytes written into DRAM by devices.
@@ -148,7 +152,10 @@ impl HostCore {
 
     /// Count of interrupts with the given vector.
     pub fn interrupt_count(&self, vector: u32) -> usize {
-        self.interrupts.iter().filter(|i| i.2 == vector).count()
+        self.irq_counts
+            .iter()
+            .find(|&&(v, _)| v == vector)
+            .map_or(0, |&(_, n)| n)
     }
 
     fn route_port(&self, addr: u64) -> Option<PortIdx> {
@@ -274,6 +281,7 @@ impl HostBridge {
                 watches: Vec::new(),
                 interrupts: Vec::new(),
                 irq_spans: Vec::new(),
+                irq_counts: Vec::new(),
                 dram_writes: Counter::new(),
                 dram_bytes_in: Counter::new(),
             },
@@ -427,6 +435,10 @@ impl Device for HostBridge {
                 }
                 self.core.interrupts.push((arrived, arrived, vector));
                 self.core.irq_spans.push(tlp.span);
+                match self.core.irq_counts.iter_mut().find(|(v, _)| *v == vector) {
+                    Some((_, n)) => *n += 1,
+                    None => self.core.irq_counts.push((vector, 1)),
+                }
                 let idx = self.core.interrupts.len() as u64 - 1;
                 ctx.timer_in(
                     self.core.params.interrupt_entry,
@@ -637,6 +649,25 @@ mod tests {
             entered.since(arrived),
             HostParams::default().interrupt_entry
         );
+    }
+
+    #[test]
+    fn interrupt_counts_agree_with_the_log() {
+        let (mut f, host, dev) = rig();
+        let vectors = [1u32, 2, 1, 7, 1, 2, 0];
+        f.drive::<Probe, _>(dev, |_, ctx| {
+            for v in vectors {
+                ctx.send(PortIdx(0), Tlp::msi(v));
+            }
+        });
+        f.run_until_idle();
+        let core = f.device::<HostBridge>(host).core();
+        assert_eq!(core.interrupts().len(), vectors.len());
+        for v in 0..9 {
+            let logged = core.interrupts().iter().filter(|i| i.2 == v).count();
+            assert_eq!(core.interrupt_count(v), logged, "vector {v}");
+        }
+        assert_eq!(core.interrupt_count(1), 3);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub enum Protocol {
 
 /// Records a phase segment `[start, now]` against an MPI root span, when
 /// tracing is on. Pure data collection: never touches simulated time.
-fn span_seg(f: &mut Fabric, span: Option<TraceCtx>, name: &str, start: SimTime) {
+fn span_seg(f: &mut Fabric, span: Option<TraceCtx>, name: &'static str, start: SimTime) {
     if let Some(sp) = span {
         let now = f.now();
         f.spans_mut().segment(sp, name, start, now, None);

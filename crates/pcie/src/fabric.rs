@@ -25,8 +25,8 @@ use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use tca_sim::metrics::{CounterId, GaugeId, MeterId};
 use tca_sim::{
-    Dur, EventQueue, FlightRecorder, Fnv64, MetricsHub, MetricsSnapshot, Sampler, SimRng, SimTime,
-    SpanStore, StallReport, TraceLevel, Tracer, Watchdog,
+    Dur, EventQueue, FlightPayload, FlightRecorder, Fnv64, MetricsHub, MetricsSnapshot, Sampler,
+    SimRng, SimTime, SpanStore, StallReport, TraceLevel, Tracer, Watchdog,
 };
 
 /// Identifier of a link within the fabric.
@@ -105,6 +105,85 @@ impl StepKind {
             StepKind::Timer => "timer",
             StepKind::CreditReturn => "credit_return",
         }
+    }
+}
+
+/// What the flight recorder keeps of one dispatched fabric event: a
+/// compact snapshot from which the `tca-flight/v1` digest and label are
+/// rendered at export (or at eviction, with spill on). A delivery keeps the
+/// packet's [`TlpKind`], whose payload is a shared buffer, so recording it
+/// costs a reference-count bump rather than a copy or a hash.
+#[derive(Clone)]
+pub enum FabricFlight {
+    /// A TLP arrived at a device.
+    Deliver(TlpKind),
+    /// A device timer fired; `name` is the device's [`Device::timer_kind`]
+    /// for the tag, resolved at dispatch.
+    Timer {
+        /// The device-private timer tag.
+        tag: u64,
+        /// The device's name for the tag's encoding, if it has one.
+        name: Option<&'static str>,
+    },
+    /// Flow-control credits returned to a link direction.
+    CreditReturn {
+        /// The link.
+        link: u32,
+        /// The direction whose sender regains the credits.
+        dir: Dir,
+        /// The credit class.
+        class: FcClass,
+        /// Header credits returned.
+        hdr: u32,
+        /// Data credits returned.
+        data: u32,
+    },
+}
+
+impl FlightPayload for FabricFlight {
+    fn kind(&self) -> &'static str {
+        match self {
+            FabricFlight::Deliver(_) => StepKind::Deliver.name(),
+            FabricFlight::Timer { .. } => StepKind::Timer.name(),
+            FabricFlight::CreditReturn { .. } => StepKind::CreditReturn.name(),
+        }
+    }
+
+    fn digest(&self) -> u64 {
+        match self {
+            FabricFlight::Deliver(kind) => kind.digest(),
+            FabricFlight::Timer { tag, .. } => *tag,
+            FabricFlight::CreditReturn {
+                link,
+                dir,
+                class,
+                hdr,
+                data,
+            } => Fnv64::new()
+                .write_u64(u64::from(*link))
+                .write_u64(dir.index() as u64)
+                .write_u64(*class as u64)
+                .write_u64(u64::from(*hdr))
+                .write_u64(u64::from(*data))
+                .finish(),
+        }
+    }
+
+    fn write_label(&self, out: &mut String) {
+        use std::fmt::Write as _;
+        let _ = match self {
+            FabricFlight::Deliver(kind) => write!(out, "{kind:?}"),
+            FabricFlight::Timer { tag, name } => {
+                write!(out, "{} tag={tag:#x}", name.unwrap_or("timer"))
+            }
+            FabricFlight::CreditReturn {
+                link,
+                dir,
+                class,
+                hdr,
+                data,
+            } => write!(out, "credits link{link}.{dir} {class:?} +{hdr}h/+{data}d"),
+        };
     }
 }
 
@@ -210,8 +289,10 @@ pub struct Fabric {
     watchdog: Option<Watchdog>,
     /// Host-side dispatch counters (`tca-prof` layer one).
     prof: FabricProf,
-    /// Flight recorder; `None` unless enabled.
-    flight: Option<FlightRecorder>,
+    /// Flight recorder; `None` unless enabled. Boxed: the recorder is
+    /// large and off by default, and keeping it out of line keeps the
+    /// fields the dispatch loop touches packed together.
+    flight: Option<Box<FlightRecorder<FabricFlight>>>,
     /// In-flight TLP storage; `Ev::Deliver` carries handles into it.
     tlps: TlpSlab,
     /// Reusable action buffer lent to each [`Ctx`]; drained and returned
@@ -333,25 +414,27 @@ impl Fabric {
     /// exact event stream of an unrecorded one (proven byte-for-byte by
     /// `tests/determinism.rs`). Re-enabling replaces any previous log.
     pub fn enable_flight(&mut self, ring_capacity: usize, spill: bool) {
-        self.flight = Some(if spill {
+        self.flight = Some(Box::new(if spill {
             FlightRecorder::with_spill(ring_capacity)
         } else {
             FlightRecorder::new(ring_capacity)
-        });
+        }));
     }
 
     /// The flight recorder, when enabled.
-    pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.flight.as_ref()
+    pub fn flight(&self) -> Option<&FlightRecorder<FabricFlight>> {
+        self.flight.as_deref()
     }
 
     /// The full flight log as `tca-flight/v1` JSONL — header, event lines,
     /// then the run's span records (so span trees can be bisected from the
-    /// log alone) — or `None` when recording is off.
+    /// log alone) — or `None` when recording is off. Both parts stream
+    /// into one pre-sized buffer.
     pub fn flight_jsonl(&self) -> Option<String> {
         let fl = self.flight.as_ref()?;
-        let mut out = fl.jsonl();
-        out.push_str(&self.spans.jsonl());
+        let mut out = String::with_capacity(fl.jsonl_len_hint() + self.spans.json_len_hint());
+        fl.write_jsonl(&mut out);
+        self.spans.write_jsonl(&mut out);
         Some(out)
     }
 
@@ -581,7 +664,9 @@ impl Fabric {
                 break;
             }
             for ev in batch.drain(..) {
-                self.record_flight(&ev);
+                if self.flight.is_some() {
+                    self.record_flight(&ev);
+                }
                 self.dispatch(ev);
                 self.check_watchdog();
             }
@@ -613,7 +698,9 @@ impl Fabric {
     pub fn step_kind(&mut self) -> Option<StepKind> {
         self.sample_pending();
         let (_, ev) = self.queue.pop()?;
-        self.record_flight(&ev);
+        if self.flight.is_some() {
+            self.record_flight(&ev);
+        }
         let kind = self.dispatch(ev);
         self.check_watchdog();
         Some(kind)
@@ -672,32 +759,31 @@ impl Fabric {
     /// Appends the just-popped event to the flight recorder, if enabled.
     /// Runs between pop and dispatch so the log order *is* the dispatch
     /// order; pure data capture — nothing here schedules events or touches
-    /// link state, so recording cannot shift simulated time.
+    /// link state, so recording cannot shift simulated time. Callers test
+    /// `self.flight.is_some()` first, so an unrecorded run pays one branch
+    /// per event; the body stays out of line so that branch is all the
+    /// dispatch loop carries.
+    #[inline(never)]
     fn record_flight(&mut self, ev: &Ev) {
         let Some(fl) = &mut self.flight else {
             return;
         };
         let at = self.queue.now();
-        match ev {
+        match *ev {
             Ev::Deliver { link, dir, tlp } => {
-                let (dst, port) = self.links[*link as usize].ends[dir.flip().index()];
-                let tlp = self.tlps.get(*tlp);
+                let (dst, port) = self.links[link as usize].ends[dir.flip().index()];
+                let tlp = self.tlps.get(tlp);
                 fl.record(
                     at,
-                    StepKind::Deliver.name(),
                     dst.0,
                     Some(port.0),
                     tlp.span.map(|s| s.root.raw()),
-                    tlp.digest(),
-                    format!("{tlp:?}"),
+                    FabricFlight::Deliver(tlp.kind.clone()),
                 );
             }
             Ev::Timer { dst, tag } => {
-                let label = match self.devices[dst.0 as usize].timer_kind(*tag) {
-                    Some(kind) => format!("{kind} tag={tag:#x}"),
-                    None => format!("timer tag={tag:#x}"),
-                };
-                fl.record(at, StepKind::Timer.name(), dst.0, None, None, *tag, label);
+                let name = self.devices[dst.0 as usize].timer_kind(tag);
+                fl.record(at, dst.0, None, None, FabricFlight::Timer { tag, name });
             }
             Ev::CreditReturn {
                 link,
@@ -706,23 +792,15 @@ impl Fabric {
                 hdr,
                 data,
             } => {
-                let (src, port) = self.links[*link as usize].ends[dir.index()];
-                let digest = Fnv64::new()
-                    .write_u64(u64::from(*link))
-                    .write_u64(dir.index() as u64)
-                    .write_u64(*class as u64)
-                    .write_u64(u64::from(*hdr))
-                    .write_u64(u64::from(*data))
-                    .finish();
-                fl.record(
-                    at,
-                    StepKind::CreditReturn.name(),
-                    src.0,
-                    Some(port.0),
-                    None,
-                    digest,
-                    format!("credits link{link}.{dir} {class:?} +{hdr}h/+{data}d"),
-                );
+                let (src, port) = self.links[link as usize].ends[dir.index()];
+                let credit = FabricFlight::CreditReturn {
+                    link,
+                    dir,
+                    class,
+                    hdr,
+                    data,
+                };
+                fl.record(at, src.0, Some(port.0), None, credit);
             }
         }
     }
@@ -1768,6 +1846,150 @@ mod tests {
             "{}",
             report.diagnosis
         );
+    }
+
+    /// Renders `ev` the way the recorder did before it deferred rendering:
+    /// digest and label computed from the live packet at dispatch time.
+    fn eager_flight_event(f: &Fabric, ev: &Ev, seq: u64) -> tca_sim::FlightEvent {
+        let at = f.queue.now();
+        let (kind, node, port, span, digest, label) = match ev {
+            Ev::Deliver { link, dir, tlp } => {
+                let (dst, port) = f.links[*link as usize].ends[dir.flip().index()];
+                let tlp = f.tlps.get(*tlp);
+                let span = tlp.span.map(|s| s.root.raw());
+                let label = format!("{tlp:?}");
+                ("deliver", dst.0, Some(port.0), span, tlp.digest(), label)
+            }
+            Ev::Timer { dst, tag } => {
+                let label = match f.devices[dst.0 as usize].timer_kind(*tag) {
+                    Some(kind) => format!("{kind} tag={tag:#x}"),
+                    None => format!("timer tag={tag:#x}"),
+                };
+                ("timer", dst.0, None, None, *tag, label)
+            }
+            Ev::CreditReturn {
+                link,
+                dir,
+                class,
+                hdr,
+                data,
+            } => {
+                let (src, port) = f.links[*link as usize].ends[dir.index()];
+                let digest = Fnv64::new()
+                    .write_u64(u64::from(*link))
+                    .write_u64(dir.index() as u64)
+                    .write_u64(*class as u64)
+                    .write_u64(u64::from(*hdr))
+                    .write_u64(u64::from(*data))
+                    .finish();
+                let label = format!("credits link{link}.{dir} {class:?} +{hdr}h/+{data}d");
+                ("credit_return", src.0, Some(port.0), None, digest, label)
+            }
+        };
+        tca_sim::FlightEvent {
+            seq,
+            at,
+            kind,
+            node,
+            port,
+            span,
+            digest,
+            label,
+        }
+    }
+
+    #[test]
+    fn deferred_flight_logs_equal_eager_rendering() {
+        /// Timer-driven traffic source: every tick writes a tag-dependent
+        /// payload (span-traced on even ticks), reads back every third
+        /// tick, and names only its even tags.
+        struct Ticker {
+            id: DeviceId,
+            left: u32,
+        }
+        impl Device for Ticker {
+            fn on_tlp(&mut self, _p: PortIdx, _t: Tlp, _c: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+                let now = ctx.now();
+                let span = if tag.is_multiple_of(2) {
+                    ctx.spans().start_root("tick", now, Some(self.id.0))
+                } else {
+                    None
+                };
+                let payload: Vec<u8> = (0..64 + tag as usize % 5 * 48)
+                    .map(|i| (i as u64 ^ tag) as u8)
+                    .collect();
+                ctx.send(
+                    PortIdx(0),
+                    Tlp::write(0x1000 + tag * 0x100, payload).with_span(span),
+                );
+                if tag.is_multiple_of(3) {
+                    ctx.send(PortIdx(0), Tlp::read(0x1000, 32, Tag(tag as u16), self.id));
+                }
+                if self.left > 0 {
+                    self.left -= 1;
+                    ctx.timer_in(Dur::from_ns(15), tag + 1);
+                }
+            }
+            fn timer_kind(&self, tag: u64) -> Option<&'static str> {
+                tag.is_multiple_of(2).then_some("tick")
+            }
+        }
+        let build = |flight: Option<bool>| {
+            let mut f = Fabric::new();
+            let t = f.add_device(|id| Ticker { id, left: 40 });
+            let mem = f.add_device(TestMem::new);
+            let mut p = LinkParams::gen2_x8().with_latency(Dur::from_ns(10));
+            p.posted_hdr_credits = 2;
+            f.connect((t, PortIdx(0)), (mem, PortIdx(0)), p);
+            f.set_span_tracing(true);
+            if let Some(spill) = flight {
+                f.enable_flight(RING, spill);
+            }
+            f.schedule_timer(t, Dur::from_ns(1), 0);
+            f
+        };
+        const RING: usize = 32;
+
+        // The reference: every event rendered the moment it is dispatched.
+        let mut f = build(None);
+        let mut eager = Vec::new();
+        while let Some((_, ev)) = f.queue.pop() {
+            eager.push(eager_flight_event(&f, &ev, eager.len() as u64 + 1).jsonl());
+            f.dispatch(ev);
+        }
+        let n = eager.len();
+        assert!(n > 4 * RING, "run must outgrow the ring: {n} events");
+        for needle in [
+            "\"kind\":\"deliver\"",
+            "\"kind\":\"timer\"",
+            "\"kind\":\"credit_return\"",
+            "\"label\":\"tick tag=",
+            "\"label\":\"timer tag=",
+            "\"label\":\"MemRd[",
+            "\"label\":\"Cpl[",
+            "\"span\":1,",
+        ] {
+            assert!(eager.iter().any(|l| l.contains(needle)), "no {needle}");
+        }
+
+        for spill in [false, true] {
+            let mut f = build(Some(spill));
+            f.run_until_idle();
+            let fl = f.flight().expect("enabled");
+            let log = fl.jsonl();
+            let lines: Vec<&str> = log.lines().collect();
+            let dropped = if spill { 0 } else { n - RING };
+            assert_eq!(
+                lines[0],
+                format!("{{\"schema\":\"tca-flight/v1\",\"events\":{n},\"dropped\":{dropped}}}")
+            );
+            assert_eq!(lines[1..], eager[dropped..], "spill={spill}");
+            let rendered: Vec<String> = fl.events().map(|e| e.jsonl()).collect();
+            assert_eq!(rendered, eager[n - RING..], "spill={spill}");
+            let full = f.flight_jsonl().expect("enabled");
+            assert_eq!(full, log + &f.spans().jsonl());
+        }
     }
 
     #[test]

@@ -261,6 +261,24 @@ impl Tlp {
         (self.payload_len().div_ceil(16)) as u32
     }
 
+    /// FNV-1a content digest of the packet: [`TlpKind::digest`] (the span
+    /// context is observability metadata, not packet identity).
+    pub fn digest(&self) -> u64 {
+        self.kind.digest()
+    }
+
+    /// Target address for address-routed kinds, `None` for ID-routed
+    /// completions and MSIs.
+    pub fn route_addr(&self) -> Option<u64> {
+        match &self.kind {
+            TlpKind::MemWrite { addr, .. } => Some(*addr),
+            TlpKind::MemRead { addr, .. } => Some(*addr),
+            TlpKind::Completion { .. } | TlpKind::Msi { .. } => None,
+        }
+    }
+}
+
+impl TlpKind {
     /// FNV-1a content digest over the packet's kind, header fields, and
     /// payload bytes — the flight recorder's packet identity. Two TLPs
     /// digest equal iff they would be indistinguishable on the wire
@@ -269,7 +287,7 @@ impl Tlp {
     /// payload corruption even when every timestamp agrees.
     pub fn digest(&self) -> u64 {
         let mut h = tca_sim::Fnv64::new();
-        match &self.kind {
+        match self {
             TlpKind::MemWrite { addr, data } => {
                 h.update(&[0]).write_u64(*addr).update(data);
             }
@@ -305,21 +323,13 @@ impl Tlp {
         }
         h.finish()
     }
-
-    /// Target address for address-routed kinds, `None` for ID-routed
-    /// completions and MSIs.
-    pub fn route_addr(&self) -> Option<u64> {
-        match &self.kind {
-            TlpKind::MemWrite { addr, .. } => Some(*addr),
-            TlpKind::MemRead { addr, .. } => Some(*addr),
-            TlpKind::Completion { .. } | TlpKind::Msi { .. } => None,
-        }
-    }
 }
 
-impl fmt::Debug for Tlp {
+// The packet's label is its kind's: spans ride along unprinted, and a
+// payload prints as its length only, so a label never grows with the data.
+impl fmt::Debug for TlpKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.kind {
+        match self {
             TlpKind::MemWrite { addr, data } => {
                 write!(f, "MemWr[{:#x} +{}B]", addr, data.len())
             }
@@ -343,6 +353,12 @@ impl fmt::Debug for Tlp {
             ),
             TlpKind::Msi { vector } => write!(f, "Msi[{vector}]"),
         }
+    }
+}
+
+impl fmt::Debug for Tlp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.kind, f)
     }
 }
 

@@ -60,6 +60,30 @@ pub struct DmaRunRecord {
     pub descriptors: u32,
 }
 
+/// Running totals over completed DMA runs, folded in once per completion
+/// so publishing metrics never rescans the [`Peach2::runs`] history.
+#[derive(Clone, Copy, Debug, Default)]
+struct RunTotals {
+    runs: u64,
+    bytes: u64,
+    descriptors: u64,
+    /// Sum of doorbell→completion windows.
+    busy: Dur,
+    longest_chain: u32,
+    last_chain: u32,
+}
+
+impl RunTotals {
+    fn add(&mut self, run: &DmaRunRecord, complete: SimTime) {
+        self.runs += 1;
+        self.bytes += run.bytes;
+        self.descriptors += u64::from(run.descriptors);
+        self.busy += complete.since(run.doorbell);
+        self.longest_chain = self.longest_chain.max(run.descriptors);
+        self.last_chain = run.descriptors;
+    }
+}
+
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Phase {
     Idle,
@@ -224,6 +248,8 @@ pub struct Peach2 {
     reg_errors: Vec<RegError>,
     /// Completed and in-progress DMA runs.
     pub runs: Vec<DmaRunRecord>,
+    /// Totals over the completed entries of `runs`.
+    run_totals: RunTotals,
     /// Distribution of doorbell→completion windows across runs.
     pub dma_window_hist: LatencyHistogram,
     /// Distribution of descriptor-table fetch latencies (read issued on
@@ -262,6 +288,7 @@ impl Peach2 {
             relayed: Counter::new(),
             reg_errors: Vec::new(),
             runs: Vec::new(),
+            run_totals: RunTotals::default(),
             dma_window_hist: LatencyHistogram::new(),
             desc_fetch_hist: LatencyHistogram::new(),
             nios: Nios::default(),
@@ -675,6 +702,7 @@ impl Peach2 {
         let run = self.runs.last_mut().expect("active run");
         run.complete = Some(ctx.now());
         run.bytes = self.dma.run_bytes;
+        self.run_totals.add(run, ctx.now());
         self.dma_window_hist.record(ctx.now().since(run.doorbell));
         if self.regs.dma_status_addr != 0 {
             let count = self.runs.len() as u32;
@@ -944,30 +972,17 @@ impl Device for Peach2 {
             .metric_ids
             .get_or_insert_with(|| ChipMetricIds::register(&self.name, hub));
         hub.counter_sync(ids.relayed, self.relayed.get());
-        let mut runs = 0u64;
-        let mut bytes = 0u64;
-        let mut descriptors = 0u64;
-        let mut longest_chain = 0u32;
-        let mut last_chain = 0u32;
+        let t = self.run_totals;
+        hub.counter_sync(ids.dma_runs, t.runs);
+        hub.counter_sync(ids.dma_bytes, t.bytes);
+        hub.counter_sync(ids.dma_descriptors, t.descriptors);
         // Engine-busy time: the sum of doorbell→completion windows.
-        let mut busy = Dur::ZERO;
-        for r in self.runs.iter().filter(|r| r.complete.is_some()) {
-            runs += 1;
-            bytes += r.bytes;
-            descriptors += u64::from(r.descriptors);
-            longest_chain = longest_chain.max(r.descriptors);
-            last_chain = r.descriptors;
-            busy += r.complete.unwrap().since(r.doorbell);
-        }
-        hub.counter_sync(ids.dma_runs, runs);
-        hub.counter_sync(ids.dma_bytes, bytes);
-        hub.counter_sync(ids.dma_descriptors, descriptors);
-        hub.counter_sync(ids.dma_engine_busy_ns, busy.as_ps() / 1_000);
+        hub.counter_sync(ids.dma_engine_busy_ns, t.busy.as_ps() / 1_000);
         // Chain length: current = last completed run, peak = longest ever.
         // Setting the (monotonic) maximum first makes the peak watermark
         // exact even though the gauge is only written at snapshot time.
-        hub.gauge_set(ids.dma_chain_len, i64::from(longest_chain));
-        hub.gauge_set(ids.dma_chain_len, i64::from(last_chain));
+        hub.gauge_set(ids.dma_chain_len, i64::from(t.longest_chain));
+        hub.gauge_set(ids.dma_chain_len, i64::from(t.last_chain));
         hub.histogram_sync(ids.dma_window_ns, &self.dma_window_hist);
         hub.histogram_sync(ids.dma_desc_fetch_ns, &self.desc_fetch_hist);
         for i in 0..4u8 {

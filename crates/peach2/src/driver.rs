@@ -520,6 +520,39 @@ mod tests {
     }
 
     #[test]
+    fn published_run_totals_agree_with_the_run_log() {
+        use tca_sim::MetricValue;
+        let (mut f, sc, drv) = rig(2);
+        let d = &drv[0];
+        for chain in [3u64, 1, 2] {
+            let descs: Vec<Descriptor> = (0..chain)
+                .map(|i| Descriptor::new(d.sram_addr(i * 1024), d.dma_buf + i * 1024, 512))
+                .collect();
+            d.run_dma(&mut f, &descs, EngineKind::Legacy);
+        }
+        let s = f.metrics_snapshot();
+        let runs = &f.device::<Peach2>(sc.chips[0]).runs;
+        let done = || runs.iter().filter(|r| r.complete.is_some());
+        let busy_ps: u64 = done()
+            .map(|r| r.complete.unwrap().since(r.doorbell).as_ps())
+            .sum();
+        assert_eq!(s.counter("peach2.n0.dma.runs"), Some(done().count() as u64));
+        assert_eq!(
+            s.counter("peach2.n0.dma.bytes"),
+            Some(done().map(|r| r.bytes).sum())
+        );
+        assert_eq!(s.counter("peach2.n0.dma.descriptors"), Some(6));
+        assert_eq!(
+            s.counter("peach2.n0.dma.engine_busy_ns"),
+            Some(busy_ps / 1_000)
+        );
+        match s.get("peach2.n0.dma.chain_len") {
+            Some(MetricValue::Gauge { current, peak }) => assert_eq!((*current, *peak), (2, 3)),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn dma_to_pinned_gpu_memory() {
         use tca_device::Gpu;
         let (mut f, sc, drv) = rig(2);

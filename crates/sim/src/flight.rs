@@ -14,12 +14,19 @@
 //!
 //! Capture is bounded: the most recent `capacity` events live in a ring
 //! (`VecDeque`), so an arbitrarily long run records in O(capacity) memory —
-//! the black-box-recorder mode. With spill enabled, an event evicted from
-//! the ring is serialized to its JSONL line first and the line is retained,
-//! so the full log survives at the cost of one `String` per event — the
-//! record-everything mode used by `tca-bench --flight-dir`. Either way the
-//! emitted log is identical for the events it covers; the header states how
-//! many events were recorded and how many were dropped unserialized.
+//! the black-box-recorder mode. The ring holds *compact* records: the
+//! dispatch instant, node, port, root span and a [`FlightPayload`] — for a
+//! packet delivery, the packet's kind itself, which shares the payload
+//! buffer instead of copying it. Nothing is hashed or formatted while the
+//! simulation runs: the content digest and the label are rendered from the
+//! payload only when a record is exported ([`FlightRecorder::jsonl`]) or,
+//! with spill enabled, when it is evicted from the ring. Spill appends the
+//! evicted record's JSONL line to a retained buffer, so the full log
+//! survives — the record-everything mode used by `tca-bench --flight-dir`.
+//! Either way the emitted log is identical for the events it covers, and
+//! identical to rendering every event the moment it was dispatched (the
+//! payload is immutable); the header states how many events were recorded
+//! and how many were dropped unserialized.
 //!
 //! ## Log format
 //!
@@ -88,8 +95,21 @@ impl Default for Fnv64 {
     }
 }
 
-/// One recorded dispatch: what the event loop executed, when, and on whose
-/// behalf.
+/// What a flight record carries beyond its envelope (instant, node, port,
+/// span): enough to render the event's kind, digest and label later.
+/// Implementations must be immutable snapshots of the dispatched event, so
+/// rendering at export yields exactly what rendering at dispatch would.
+pub trait FlightPayload {
+    /// Stable kind name (`"deliver"`, `"timer"`, `"credit_return"`).
+    fn kind(&self) -> &'static str;
+    /// FNV-1a content digest (see [`Fnv64`]).
+    fn digest(&self) -> u64;
+    /// Appends the human-readable label, unescaped.
+    fn write_label(&self, out: &mut String);
+}
+
+/// One recorded dispatch, rendered: what the event loop executed, when,
+/// and on whose behalf.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlightEvent {
     /// 1-based dispatch sequence number (the alignment key for diffing).
@@ -119,53 +139,90 @@ impl FlightEvent {
     /// the schema promises.
     pub fn jsonl(&self) -> String {
         let mut out = String::with_capacity(96 + self.label.len());
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"t_ps\":{},\"kind\":\"{}\",\"node\":{}",
-            self.seq,
-            self.at.as_ps(),
-            self.kind,
-            self.node
-        );
-        match self.port {
-            Some(p) => {
-                let _ = write!(out, ",\"port\":{p}");
-            }
-            None => out.push_str(",\"port\":null"),
-        }
-        match self.span {
-            Some(s) => {
-                let _ = write!(out, ",\"span\":{s}");
-            }
-            None => out.push_str(",\"span\":null"),
-        }
-        let _ = write!(out, ",\"digest\":\"{:016x}\",\"label\":", self.digest);
-        write_escaped(&self.label, &mut out);
-        out.push('}');
+        write_line(self, &mut out);
         out
     }
 }
 
-/// The recorder: a bounded ring of [`FlightEvent`]s with optional spill of
-/// evicted events to pre-serialized JSONL lines. See the module docs for
-/// the determinism contract and log format.
+/// Appends `ev`'s JSONL line (no trailing newline) to `out`. The one
+/// writer of event lines: [`FlightEvent::jsonl`], spill and export all
+/// render through it.
+fn write_line(ev: &FlightEvent, out: &mut String) {
+    // Integers print verbatim (not through the `f64` document model), so
+    // `t_ps` stays exact at any magnitude.
+    let _ = write!(
+        out,
+        "{{\"seq\":{},\"t_ps\":{},\"kind\":\"{}\",\"node\":{}",
+        ev.seq,
+        ev.at.as_ps(),
+        ev.kind,
+        ev.node
+    );
+    match ev.port {
+        Some(p) => {
+            let _ = write!(out, ",\"port\":{p}");
+        }
+        None => out.push_str(",\"port\":null"),
+    }
+    match ev.span {
+        Some(s) => {
+            let _ = write!(out, ",\"span\":{s}");
+        }
+        None => out.push_str(",\"span\":null"),
+    }
+    let _ = write!(out, ",\"digest\":\"{:016x}\",\"label\":", ev.digest);
+    write_escaped(&ev.label, out);
+    out.push('}');
+}
+
+/// A compact ring entry; see the module docs.
 #[derive(Clone, Debug)]
-pub struct FlightRecorder {
+struct Record<P> {
+    at: SimTime,
+    node: u32,
+    port: Option<u8>,
+    span: Option<u64>,
+    payload: P,
+}
+
+impl<P: FlightPayload> Record<P> {
+    /// Renders the record as dispatch number `seq`.
+    fn render(&self, seq: u64) -> FlightEvent {
+        let mut label = String::new();
+        self.payload.write_label(&mut label);
+        FlightEvent {
+            seq,
+            at: self.at,
+            kind: self.payload.kind(),
+            node: self.node,
+            port: self.port,
+            span: self.span,
+            digest: self.payload.digest(),
+            label,
+        }
+    }
+}
+
+/// The recorder: a bounded ring of compact records with optional spill of
+/// evicted records to rendered JSONL lines. See the module docs for the
+/// determinism contract and log format.
+#[derive(Clone, Debug)]
+pub struct FlightRecorder<P> {
     capacity: usize,
-    ring: VecDeque<FlightEvent>,
-    /// JSONL lines of events evicted from the ring; `None` disables spill
-    /// and evictions only bump `dropped`.
-    spill: Option<Vec<String>>,
+    ring: VecDeque<Record<P>>,
+    /// JSONL lines (newline-terminated) of records evicted from the ring;
+    /// `None` disables spill and evictions only bump `dropped`.
+    spill: Option<String>,
     next_seq: u64,
     dropped: u64,
 }
 
-impl FlightRecorder {
+impl<P: FlightPayload> FlightRecorder<P> {
     /// A ring-only recorder keeping the most recent `capacity` events.
     ///
     /// # Panics
     /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> FlightRecorder {
+    pub fn new(capacity: usize) -> FlightRecorder<P> {
         assert!(capacity > 0, "flight ring capacity must be non-zero");
         FlightRecorder {
             capacity,
@@ -178,43 +235,42 @@ impl FlightRecorder {
 
     /// A recorder that spills evicted events to JSONL so the full log is
     /// retained regardless of ring size.
-    pub fn with_spill(capacity: usize) -> FlightRecorder {
+    pub fn with_spill(capacity: usize) -> FlightRecorder<P> {
         FlightRecorder {
-            spill: Some(Vec::new()),
+            spill: Some(String::new()),
             ..FlightRecorder::new(capacity)
         }
     }
 
     /// Appends one event, assigning it the next sequence number. Evicts the
-    /// oldest ring entry first when full (spilling or dropping it).
-    #[allow(clippy::too_many_arguments)]
+    /// oldest ring entry first when full (rendering it into the spill, or
+    /// dropping it).
     pub fn record(
         &mut self,
         at: SimTime,
-        kind: &'static str,
         node: u32,
         port: Option<u8>,
         span: Option<u64>,
-        digest: u64,
-        label: String,
+        payload: P,
     ) {
         if self.ring.len() == self.capacity {
             let oldest = self.ring.pop_front().expect("non-empty full ring");
             match &mut self.spill {
-                Some(lines) => lines.push(oldest.jsonl()),
+                Some(lines) => {
+                    let seq = self.next_seq - self.capacity as u64 + 1;
+                    write_line(&oldest.render(seq), lines);
+                    lines.push('\n');
+                }
                 None => self.dropped += 1,
             }
         }
         self.next_seq += 1;
-        self.ring.push_back(FlightEvent {
-            seq: self.next_seq,
+        self.ring.push_back(Record {
             at,
-            kind,
             node,
             port,
             span,
-            digest,
-            label,
+            payload,
         });
     }
 
@@ -238,9 +294,10 @@ impl FlightRecorder {
         self.ring.is_empty()
     }
 
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &FlightEvent> {
-        self.ring.iter()
+    /// The retained events, oldest first, each rendered on demand.
+    pub fn events(&self) -> impl Iterator<Item = FlightEvent> + '_ {
+        let first = self.next_seq + 1 - self.ring.len() as u64;
+        (first..).zip(&self.ring).map(|(seq, rec)| rec.render(seq))
     }
 
     /// The header line (no trailing newline).
@@ -254,19 +311,28 @@ impl FlightRecorder {
     /// The full log as JSONL: header, spilled lines, then the ring —
     /// newline-terminated, byte-deterministic.
     pub fn jsonl(&self) -> String {
-        let mut out = self.header();
+        let mut out = String::with_capacity(self.jsonl_len_hint());
+        self.write_jsonl(&mut out);
+        out
+    }
+
+    /// Appends the [`FlightRecorder::jsonl`] log to `out`, rendering each
+    /// ring record straight into it.
+    pub fn write_jsonl(&self, out: &mut String) {
+        out.push_str(&self.header());
         out.push('\n');
         if let Some(lines) = &self.spill {
-            for line in lines {
-                out.push_str(line);
-                out.push('\n');
-            }
+            out.push_str(lines);
         }
-        for ev in &self.ring {
-            out.push_str(&ev.jsonl());
+        for ev in self.events() {
+            write_line(&ev, out);
             out.push('\n');
         }
-        out
+    }
+
+    /// A capacity estimate for the rendered log, in bytes.
+    pub fn jsonl_len_hint(&self) -> usize {
+        64 + self.spill.as_ref().map_or(0, String::len) + self.ring.len() * 160
     }
 }
 
@@ -275,15 +341,37 @@ mod tests {
     use super::*;
     use crate::json::JsonValue;
 
-    fn ev(r: &mut FlightRecorder, n: u32) {
+    /// A payload that carries its rendering verbatim.
+    #[derive(Clone, Debug)]
+    struct Fixed {
+        kind: &'static str,
+        digest: u64,
+        label: String,
+    }
+
+    impl FlightPayload for Fixed {
+        fn kind(&self) -> &'static str {
+            self.kind
+        }
+        fn digest(&self) -> u64 {
+            self.digest
+        }
+        fn write_label(&self, out: &mut String) {
+            out.push_str(&self.label);
+        }
+    }
+
+    fn ev(r: &mut FlightRecorder<Fixed>, n: u32) {
         r.record(
             SimTime::from_ps(u64::from(n) * 100),
-            "deliver",
             n,
             Some(0),
             Some(1),
-            u64::from(n) * 7,
-            format!("ev{n}"),
+            Fixed {
+                kind: "deliver",
+                digest: u64::from(n) * 7,
+                label: format!("ev{n}"),
+            },
         );
     }
 
@@ -328,12 +416,14 @@ mod tests {
         let mut r = FlightRecorder::new(8);
         r.record(
             SimTime::from_ps(42),
-            "timer",
             3,
             None,
             None,
-            0xdead_beef,
-            "odd \"label\"\twith\ncontrol \u{1} bytes".to_owned(),
+            Fixed {
+                kind: "timer",
+                digest: 0xdead_beef,
+                label: "odd \"label\"\twith\ncontrol \u{1} bytes".to_owned(),
+            },
         );
         let line = r.events().next().expect("one event").jsonl();
         let v = JsonValue::parse(&line).expect("valid JSON");
@@ -366,6 +456,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
-        let _ = FlightRecorder::new(0);
+        let _ = FlightRecorder::<Fixed>::new(0);
     }
 }

@@ -187,6 +187,29 @@ impl From<String> for JsonValue {
     }
 }
 
+/// Appends `v` exactly as `JsonValue::from(v).to_json()` would render it,
+/// without building the value: integers below 9e15 print as integers, and
+/// larger ones go through the same `f64` rendering the document model uses
+/// (so `u64::MAX` prints as `18446744073709552000`). The streaming writers
+/// (span records, flight lines) use this to stay byte-identical to the
+/// document model.
+pub fn write_u64(v: u64, out: &mut String) {
+    use std::fmt::Write as _;
+    if v < 9_000_000_000_000_000 {
+        let _ = write!(out, "{v}");
+    } else {
+        write_number(v as f64, out);
+    }
+}
+
+/// [`write_u64`] for an optional value; `None` prints as `null`.
+pub fn write_opt_u64(v: Option<u64>, out: &mut String) {
+    match v {
+        Some(v) => write_u64(v, out),
+        None => out.push_str("null"),
+    }
+}
+
 fn write_number(n: f64, out: &mut String) {
     use std::fmt::Write as _;
     if !n.is_finite() {
@@ -206,6 +229,11 @@ fn write_number(n: f64, out: &mut String) {
 pub fn write_escaped(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -376,6 +404,28 @@ mod tests {
             obj.to_json(),
             r#"{"n":42,"f":1.5,"s":"a\"b\n","a":[null,true]}"#
         );
+    }
+
+    #[test]
+    fn u64_writer_matches_the_document_model() {
+        for v in [
+            0,
+            1,
+            (1u64 << 53) - 1,
+            1u64 << 53,
+            (1u64 << 53) + 1,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            9_000_000_000_000_001,
+            u64::MAX,
+        ] {
+            let mut out = String::new();
+            write_u64(v, &mut out);
+            assert_eq!(out, JsonValue::from(v).to_json(), "value {v}");
+        }
+        let mut out = String::new();
+        write_opt_u64(None, &mut out);
+        assert_eq!(out, "null");
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{EventId, EventQueue};
-pub use flight::{FlightEvent, FlightRecorder, Fnv64, FLIGHT_SCHEMA};
+pub use flight::{FlightEvent, FlightPayload, FlightRecorder, Fnv64, FLIGHT_SCHEMA};
 pub use json::{write_escaped, JsonValue};
 pub use metrics::{
     CounterId, GaugeId, HistogramId, MeterId, MetricValue, MetricsHub, MetricsSnapshot,
@@ -61,7 +61,7 @@ pub use params::{
     fingerprint_hex, fingerprint_pairs, nest_id, unnest_id, ParamDesc, ParamSet, ParamUnit,
     Parameterized,
 };
-pub use prof::{alloc_snapshot, AllocSnapshot, ProfCounters};
+pub use prof::{alloc_snapshot, thread_allocs, AllocSnapshot, ProfCounters};
 pub use rng::SimRng;
 pub use sampler::{GaugeSeries, Sampler, StallReport, Watchdog};
 pub use span::{SpanId, SpanStore, TraceCtx, WriteRec};

@@ -97,6 +97,7 @@ impl AllocSnapshot {
 #[cfg(feature = "host-prof")]
 mod hostalloc {
     use super::AllocSnapshot;
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -105,7 +106,14 @@ mod hostalloc {
     static CURRENT: AtomicU64 = AtomicU64::new(0);
     static PEAK: AtomicU64 = AtomicU64::new(0);
 
+    thread_local! {
+        // Const-initialized and drop-free, so touching it from inside the
+        // allocator never allocates or registers a destructor.
+        static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
     pub(super) fn record_alloc(size: u64) {
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
         ALLOCS.fetch_add(1, Relaxed);
         BYTES.fetch_add(size, Relaxed);
         let now = CURRENT.fetch_add(size, Relaxed) + size;
@@ -117,6 +125,10 @@ mod hostalloc {
         // Saturating: a binary may install the allocator after some
         // allocations already happened, so frees can outrun allocs.
         let _ = CURRENT.fetch_update(Relaxed, Relaxed, |c| Some(c.saturating_sub(size)));
+    }
+
+    pub(super) fn thread_allocs() -> u64 {
+        THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0)
     }
 
     pub(super) fn snapshot() -> AllocSnapshot {
@@ -191,6 +203,22 @@ pub fn alloc_snapshot() -> AllocSnapshot {
     #[cfg(not(feature = "host-prof"))]
     {
         AllocSnapshot::default()
+    }
+}
+
+/// Heap allocations served so far to the calling thread (0 unless
+/// allocation tracking is live, as for [`alloc_snapshot`]). Unlike the
+/// process-wide snapshot, a delta of this count cannot pick up another
+/// thread's allocations — such as a test harness's own bookkeeping — so it
+/// is the exact measure for "this single-threaded code path allocated".
+pub fn thread_allocs() -> u64 {
+    #[cfg(feature = "host-prof")]
+    {
+        hostalloc::thread_allocs()
+    }
+    #[cfg(not(feature = "host-prof"))]
+    {
+        0
     }
 }
 

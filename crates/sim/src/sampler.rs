@@ -81,21 +81,22 @@ impl Sampler {
 
     /// Records the current level of every gauge in `hub` at instant `at`
     /// and advances the next due instant by one period.
+    ///
+    /// Series are indexed by gauge registration position: a hub only ever
+    /// appends gauges, so gauge `i` always feeds series `i`, and a gauge
+    /// registered since the last capture opens a new series at the end.
+    /// The sampler must therefore always be fed the same hub.
     pub fn capture(&mut self, at: SimTime, hub: &MetricsHub) {
-        for (name, current, _peak) in hub.gauges_iter() {
-            let idx = match self.index.get(name) {
-                Some(&i) => i,
-                None => {
-                    let i = self.series.len();
-                    self.index.insert(name.to_string(), i);
-                    self.series.push(GaugeSeries {
-                        name: name.to_string(),
-                        samples: Vec::new(),
-                    });
-                    i
-                }
-            };
-            self.series[idx].samples.push((at, current));
+        for (i, (name, current, _peak)) in hub.gauges_iter().enumerate() {
+            if i == self.series.len() {
+                self.index.insert(name.to_string(), i);
+                self.series.push(GaugeSeries {
+                    name: name.to_string(),
+                    samples: Vec::new(),
+                });
+            }
+            debug_assert_eq!(self.series[i].name, name, "sampler fed a different hub");
+            self.series[i].samples.push((at, current));
         }
         self.next = self.next.saturating_add(self.period);
     }
@@ -313,6 +314,29 @@ mod tests {
             series.samples,
             vec![(SimTime::ZERO, 3), (SimTime::ZERO + Dur::from_ns(100), 3)]
         );
+        assert_eq!(s.captures(), 2);
+    }
+
+    #[test]
+    fn late_registered_gauge_stays_name_aligned() {
+        let mut hub = MetricsHub::new();
+        let q = hub.gauge("z.queue");
+        hub.gauge_set(q, 4);
+        let mut s = Sampler::new(Dur::from_ns(10));
+        s.capture(SimTime::ZERO, &hub);
+        // Registered after the first capture, sorting *before* the first.
+        let late = hub.gauge("a.late");
+        hub.gauge_set(late, 9);
+        hub.gauge_set(q, 5);
+        let t1 = SimTime::ZERO + Dur::from_ns(10);
+        s.capture(t1, &hub);
+        assert_eq!(
+            s.series_by_name("z.queue").unwrap().samples,
+            vec![(SimTime::ZERO, 4), (t1, 5)]
+        );
+        assert_eq!(s.series_by_name("a.late").unwrap().samples, vec![(t1, 9)]);
+        let names: Vec<_> = s.series().iter().map(|g| g.name.as_str()).collect();
+        assert_eq!(names, ["a.late", "z.queue"]);
         assert_eq!(s.captures(), 2);
     }
 

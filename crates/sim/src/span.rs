@@ -29,7 +29,7 @@
 //! the measured end-to-end latency *exactly* — no rounding, no double
 //! counting of nested intervals.
 
-use crate::json::JsonValue;
+use crate::json::{write_escaped, write_opt_u64, write_u64, JsonValue};
 use crate::time::{Dur, SimTime};
 
 /// Identifier of one span. Allocated from a per-store counter starting at
@@ -56,12 +56,13 @@ pub struct TraceCtx {
 }
 
 /// One recorded span: a named interval attributed to a device, linked to
-/// its parent within a transfer tree.
+/// its parent within a transfer tree. Names are static stage labels, so
+/// recording a span never allocates beyond the store's own growth.
 #[derive(Clone, Debug)]
 struct SpanRec {
     root: SpanId,
     parent: Option<SpanId>,
-    name: String,
+    name: &'static str,
     device: Option<u32>,
     start: SimTime,
     end: Option<SimTime>,
@@ -92,12 +93,82 @@ pub struct WriteRec {
     pub len: u64,
 }
 
+/// Records per [`Blocks`] block: 72 KiB of [`SpanRec`]s, small enough
+/// that every block comes from the allocator's ordinary heap.
+const BLOCK: usize = 1024;
+
+/// Append-only storage in fixed-size blocks. A traced run records hundreds
+/// of thousands of spans; one doubling `Vec` would copy them at every
+/// growth step and leave each outgrown buffer behind as a free hole, so the
+/// process's memory peak would depend on where the allocator happened to
+/// place those holes. Blocks never move and are all one size, so a freed
+/// block is reused whole.
+#[derive(Debug)]
+struct Blocks<T> {
+    blocks: Vec<Vec<T>>,
+    len: usize,
+}
+
+impl<T> Default for Blocks<T> {
+    fn default() -> Self {
+        Blocks {
+            blocks: Vec::new(),
+            len: 0,
+        }
+    }
+}
+
+impl<T> Blocks<T> {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.len = 0;
+    }
+
+    fn push(&mut self, v: T) {
+        match self.blocks.last_mut() {
+            Some(b) if b.len() < BLOCK => b.push(v),
+            _ => {
+                let mut b = Vec::with_capacity(BLOCK);
+                b.push(v);
+                self.blocks.push(b);
+            }
+        }
+        self.len += 1;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.blocks.iter().flatten()
+    }
+}
+
+impl<T> std::ops::Index<usize> for Blocks<T> {
+    type Output = T;
+
+    fn index(&self, i: usize) -> &T {
+        &self.blocks[i / BLOCK][i % BLOCK]
+    }
+}
+
+impl<T> std::ops::IndexMut<usize> for Blocks<T> {
+    fn index_mut(&mut self, i: usize) -> &mut T {
+        &mut self.blocks[i / BLOCK][i % BLOCK]
+    }
+}
+
 /// Collector of transfer span trees. Owned by the fabric next to the
 /// tracer and metrics hub; disabled (and free) by default.
 #[derive(Default)]
 pub struct SpanStore {
     enabled: bool,
-    spans: Vec<SpanRec>,
+    spans: Blocks<SpanRec>,
     writes: Vec<WriteRec>,
 }
 
@@ -181,14 +252,19 @@ impl SpanStore {
     /// Opens a new transfer tree rooted at `name`, returning the context
     /// to attach at the origin — or `None` while disabled (the no-cost
     /// path: callers skip all further recording).
-    pub fn start_root(&mut self, name: &str, at: SimTime, device: Option<u32>) -> Option<TraceCtx> {
+    pub fn start_root(
+        &mut self,
+        name: &'static str,
+        at: SimTime,
+        device: Option<u32>,
+    ) -> Option<TraceCtx> {
         if !self.enabled {
             return None;
         }
         let id = self.alloc(SpanRec {
             root: SpanId(self.spans.len() as u64 + 1),
             parent: None,
-            name: name.to_string(),
+            name,
             device,
             start: at,
             end: None,
@@ -204,7 +280,7 @@ impl SpanStore {
     pub fn child(
         &mut self,
         ctx: TraceCtx,
-        name: &str,
+        name: &'static str,
         at: SimTime,
         device: Option<u32>,
     ) -> TraceCtx {
@@ -214,7 +290,7 @@ impl SpanStore {
         let id = self.alloc(SpanRec {
             root: ctx.root,
             parent: Some(ctx.parent),
-            name: name.to_string(),
+            name,
             device,
             start: at,
             end: None,
@@ -231,7 +307,7 @@ impl SpanStore {
     pub fn segment(
         &mut self,
         ctx: TraceCtx,
-        name: &str,
+        name: &'static str,
         start: SimTime,
         end: SimTime,
         device: Option<u32>,
@@ -242,7 +318,7 @@ impl SpanStore {
         self.alloc(SpanRec {
             root: ctx.root,
             parent: Some(ctx.parent),
-            name: name.to_string(),
+            name,
             device,
             start,
             end: Some(end),
@@ -276,7 +352,7 @@ impl SpanStore {
             .iter()
             .enumerate()
             .filter(|(_, s)| s.parent.is_none())
-            .map(|(i, s)| (SpanId(i as u64 + 1), s.name.as_str(), s.start, s.end))
+            .map(|(i, s)| (SpanId(i as u64 + 1), s.name, s.start, s.end))
             .collect()
     }
 
@@ -331,7 +407,7 @@ impl SpanStore {
                 .iter()
                 .filter(|&&(s, e, _)| s <= a && e >= b)
                 .max_by_key(|&&(s, _, i)| (s, i))
-                .map(|&(_, _, i)| self.spans[i].name.as_str())
+                .map(|&(_, _, i)| self.spans[i].name)
                 .unwrap_or("other");
             let d = b.since(a);
             match stages.iter_mut().find(|(n, _)| n == owner) {
@@ -379,11 +455,16 @@ impl SpanStore {
     /// element order): `{id, root, parent, name, device, start_ps,
     /// end_ps}`.
     pub fn to_json(&self) -> String {
-        let mut arr = Vec::with_capacity(self.spans.len());
+        let mut out = String::with_capacity(self.json_len_hint());
+        out.push('[');
         for i in 0..self.spans.len() {
-            arr.push(self.span_json(i));
+            if i > 0 {
+                out.push(',');
+            }
+            self.write_span(i, &mut out);
         }
-        JsonValue::Array(arr).to_json()
+        out.push(']');
+        out
     }
 
     /// Serializes every span as one JSON object per line (same objects and
@@ -391,38 +472,44 @@ impl SpanStore {
     /// writers append these lines after the event records so the
     /// divergence engine can bisect span trees from the log alone.
     pub fn jsonl(&self) -> String {
-        let mut out = String::new();
-        for i in 0..self.spans.len() {
-            out.push_str(&self.span_json(i).to_json());
-            out.push('\n');
-        }
+        let mut out = String::with_capacity(self.json_len_hint());
+        self.write_jsonl(&mut out);
         out
     }
 
-    /// The JSON object of span index `i` (0-based; ids are 1-based).
-    fn span_json(&self, i: usize) -> JsonValue {
+    /// Appends the [`SpanStore::jsonl`] lines to `out`.
+    pub fn write_jsonl(&self, out: &mut String) {
+        for i in 0..self.spans.len() {
+            self.write_span(i, out);
+            out.push('\n');
+        }
+    }
+
+    /// A capacity estimate for the serialized store, in bytes.
+    pub fn json_len_hint(&self) -> usize {
+        self.spans.len() * 120
+    }
+
+    /// Writes the JSON object of span index `i` (0-based; ids are
+    /// 1-based) straight into `out`, byte-identical to the equivalent
+    /// [`JsonValue`] object's `to_json()`.
+    fn write_span(&self, i: usize, out: &mut String) {
         let s = &self.spans[i];
-        let mut obj = JsonValue::object();
-        obj.push("id", JsonValue::from(i as u64 + 1));
-        obj.push("root", JsonValue::from(s.root.raw()));
-        obj.push(
-            "parent",
-            s.parent
-                .map_or(JsonValue::Null, |p| JsonValue::from(p.raw())),
-        );
-        obj.push("name", JsonValue::from(s.name.as_str()));
-        obj.push(
-            "device",
-            s.device
-                .map_or(JsonValue::Null, |d| JsonValue::from(u64::from(d))),
-        );
-        obj.push("start_ps", JsonValue::from(s.start.as_ps()));
-        obj.push(
-            "end_ps",
-            s.end
-                .map_or(JsonValue::Null, |e| JsonValue::from(e.as_ps())),
-        );
-        obj
+        out.push_str("{\"id\":");
+        write_u64(i as u64 + 1, out);
+        out.push_str(",\"root\":");
+        write_u64(s.root.raw(), out);
+        out.push_str(",\"parent\":");
+        write_opt_u64(s.parent.map(SpanId::raw), out);
+        out.push_str(",\"name\":");
+        write_escaped(s.name, out);
+        out.push_str(",\"device\":");
+        write_opt_u64(s.device.map(u64::from), out);
+        out.push_str(",\"start_ps\":");
+        write_u64(s.start.as_ps(), out);
+        out.push_str(",\"end_ps\":");
+        write_opt_u64(s.end.map(SimTime::as_ps), out);
+        out.push('}');
     }
 
     /// Chrome trace-event JSON for the span forest: every closed span
@@ -438,7 +525,7 @@ impl SpanStore {
             };
             let tid = u64::from(s.device.unwrap_or(0));
             let mut obj = JsonValue::object();
-            obj.push("name", JsonValue::from(s.name.as_str()));
+            obj.push("name", JsonValue::from(s.name));
             obj.push("cat", JsonValue::from("span"));
             obj.push("ph", JsonValue::from("X"));
             obj.push("ts", JsonValue::from(s.start.as_us_f64()));
@@ -564,6 +651,85 @@ mod tests {
         s.end_root(root, SimTime::from_ps(500));
         s.end_root(root, SimTime::from_ps(200));
         assert_eq!(s.root_elapsed(root.root), Some(Dur::from_ps(500)));
+    }
+
+    #[test]
+    fn spans_past_a_block_boundary_keep_ids_and_order() {
+        let mut s = SpanStore::new();
+        s.set_enabled(true);
+        let n = 2 * BLOCK + 3;
+        let ctxs: Vec<TraceCtx> = (0..n)
+            .map(|i| {
+                s.start_root("r", SimTime::from_ps(i as u64), Some(i as u32))
+                    .unwrap()
+            })
+            .collect();
+        assert_eq!(s.len(), n);
+        for (i, c) in ctxs.iter().enumerate() {
+            assert_eq!(c.root.raw(), i as u64 + 1);
+            s.end_root(*c, SimTime::from_ps(10 * i as u64 + 5));
+        }
+        let roots = s.roots();
+        assert_eq!(roots.len(), n);
+        for (i, &(id, _, start, end)) in roots.iter().enumerate() {
+            assert_eq!(id.raw(), i as u64 + 1);
+            assert_eq!(start, SimTime::from_ps(i as u64));
+            assert_eq!(end, Some(SimTime::from_ps(10 * i as u64 + 5)));
+        }
+        let lines: Vec<String> = s.jsonl().lines().map(String::from).collect();
+        assert_eq!(lines.len(), n);
+        assert!(lines[BLOCK].starts_with(&format!("{{\"id\":{},", BLOCK + 1)));
+        s.clear();
+        assert!(s.is_empty());
+        let again = s.start_root("r", SimTime::ZERO, None).unwrap();
+        assert_eq!(again.root.raw(), 1);
+    }
+
+    /// The document-model rendering the streaming writer replaced.
+    fn span_value(s: &SpanStore, i: usize) -> JsonValue {
+        let r = &s.spans[i];
+        let opt = |v: Option<u64>| v.map_or(JsonValue::Null, JsonValue::from);
+        let mut obj = JsonValue::object();
+        obj.push("id", JsonValue::from(i as u64 + 1));
+        obj.push("root", JsonValue::from(r.root.raw()));
+        obj.push("parent", opt(r.parent.map(SpanId::raw)));
+        obj.push("name", JsonValue::from(r.name));
+        obj.push("device", opt(r.device.map(u64::from)));
+        obj.push("start_ps", JsonValue::from(r.start.as_ps()));
+        obj.push("end_ps", opt(r.end.map(SimTime::as_ps)));
+        obj
+    }
+
+    #[test]
+    fn span_writer_matches_the_document_model() {
+        let mut s = SpanStore::new();
+        s.set_enabled(true);
+        let edges = [
+            0,
+            (1u64 << 53) - 1,
+            8_999_999_999_999_999,
+            9_000_000_000_000_000,
+            (1u64 << 53) + 1,
+            u64::MAX,
+        ];
+        let root = s
+            .start_root("quote\"back\\slash\n\u{1}", SimTime::ZERO, Some(u32::MAX))
+            .unwrap();
+        for &v in &edges {
+            s.segment(root, "edge", SimTime::from_ps(v), SimTime::from_ps(v), None);
+            let open = s.child(root, "open\tstage", SimTime::from_ps(v), Some(0));
+            s.end(open, SimTime::from_ps(v));
+        }
+        let _ = s.child(root, "never_closed", SimTime::from_ps(7), None);
+        let values: Vec<JsonValue> = (0..s.len()).map(|i| span_value(&s, i)).collect();
+        let lines: String = values.iter().map(|v| v.to_json() + "\n").collect();
+        assert_eq!(s.jsonl(), lines);
+        assert_eq!(s.to_json(), JsonValue::Array(values).to_json());
+        assert!(s.jsonl().contains("\"start_ps\":18446744073709552000"));
+        assert!(s
+            .jsonl()
+            .contains("\"name\":\"quote\\\"back\\\\slash\\n\\u0001\""));
+        assert_eq!(SpanStore::new().to_json(), "[]");
     }
 
     #[test]
