@@ -14,7 +14,7 @@
 //! * host-software hook ([`HostAgent`]) for driver and runtime models.
 
 use crate::params::HostParams;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use tca_pcie::{AddrRange, Ctx, Device, DeviceId, PageMemory, PortIdx, Tlp, TlpKind};
 use tca_sim::{Counter, SimTime, TraceCtx, TraceLevel};
 
@@ -71,7 +71,14 @@ pub struct HostCore {
     dram: AddrRange,
     windows: Vec<(AddrRange, PortIdx)>,
     id_routes: HashMap<u32, PortIdx>,
-    pending_reads: Vec<Option<PendingRead>>,
+    /// DRAM reads waiting out the memory latency, as a window over read
+    /// sequence numbers: entry `i` is read `reads_base + i`, and the timer
+    /// tag of a read carries its sequence number. Served entries are
+    /// trimmed off the front, so the window spans only the reads still in
+    /// flight rather than every read the host has ever served.
+    pending_reads: VecDeque<Option<PendingRead>>,
+    /// Sequence number of `pending_reads[0]`.
+    reads_base: u64,
     watches: Vec<Watch>,
     /// (delivery time, handler-entry time, vector) for every MSI.
     interrupts: Vec<(SimTime, SimTime, u32)>,
@@ -89,6 +96,21 @@ pub struct HostCore {
 }
 
 impl HostCore {
+    /// Takes pending read number `seq` and trims served reads off the
+    /// front of the window.
+    fn take_read(&mut self, seq: u64) -> PendingRead {
+        let pr = seq
+            .checked_sub(self.reads_base)
+            .and_then(|i| self.pending_reads.get_mut(i as usize))
+            .and_then(Option::take)
+            .expect("read already served");
+        while let Some(None) = self.pending_reads.front() {
+            self.pending_reads.pop_front();
+            self.reads_base += 1;
+        }
+        pr
+    }
+
     /// The socket's DRAM range in the node-local map.
     pub fn dram(&self) -> AddrRange {
         self.dram
@@ -277,7 +299,8 @@ impl HostBridge {
                 mem: PageMemory::new(),
                 windows: Vec::new(),
                 id_routes: HashMap::new(),
-                pending_reads: Vec::new(),
+                pending_reads: VecDeque::new(),
+                reads_base: 0,
                 watches: Vec::new(),
                 interrupts: Vec::new(),
                 irq_spans: Vec::new(),
@@ -390,13 +413,13 @@ impl Device for HostBridge {
                 requester,
             } => {
                 if self.core.dram.contains(addr) {
-                    let idx = self.core.pending_reads.len() as u64;
+                    let idx = self.core.reads_base + self.core.pending_reads.len() as u64;
                     if let Some(sp) = tlp.span {
                         let now = ctx.now();
                         let until = now + self.core.params.mem_read_latency;
                         ctx.spans().segment(sp, "dram_read", now, until, None);
                     }
-                    self.core.pending_reads.push(Some(PendingRead {
+                    self.core.pending_reads.push_back(Some(PendingRead {
                         port,
                         addr,
                         len,
@@ -453,9 +476,7 @@ impl Device for HostBridge {
         let val = tag & ((1 << 56) - 1);
         match kind {
             KIND_READ => {
-                let pr = self.core.pending_reads[val as usize]
-                    .take()
-                    .expect("read already served");
+                let pr = self.core.take_read(val);
                 let chunk = self.core.params.completion_chunk as usize;
                 let data = self.core.mem.read(pr.addr, pr.len as usize);
                 let total = data.len();
@@ -633,6 +654,61 @@ mod tests {
         let mut m = PageMemory::new();
         m.write(0x4000, &buf);
         assert!(m.verify_pattern(0x4000, 512, 3).is_ok());
+    }
+
+    #[test]
+    fn served_reads_free_their_slots() {
+        let (mut f, host, dev) = rig();
+        f.device_mut::<HostBridge>(host)
+            .core_mut()
+            .mem()
+            .fill_pattern(0x4000, 64, 1);
+        // Many sequential reads: each one is served before the next is
+        // issued, so the window never holds more than the one in flight.
+        for i in 0..1000u16 {
+            f.drive::<Probe, _>(dev, |p, ctx| {
+                ctx.send(PortIdx(0), Tlp::read(0x4000, 64, Tag(i % 256), p.id));
+            });
+            f.run_until_idle();
+            let core = f.device::<HostBridge>(host).core();
+            assert!(core.pending_reads.is_empty(), "read {i} left a slot");
+            assert_eq!(core.reads_base, u64::from(i) + 1);
+        }
+        // A burst of concurrent reads widens the window, then it drains.
+        f.drive::<Probe, _>(dev, |p, ctx| {
+            for t in 0..8u16 {
+                ctx.send(PortIdx(0), Tlp::read(0x4000, 64, Tag(t), p.id));
+            }
+        });
+        f.run_until_idle();
+        let core = f.device::<HostBridge>(host).core();
+        assert!(core.pending_reads.is_empty());
+        assert_eq!(core.reads_base, 1008);
+        assert_eq!(f.device::<Probe>(dev).completions.len(), 1008);
+    }
+
+    #[test]
+    fn reads_served_out_of_order_keep_their_data() {
+        let mut core = HostBridge::new(DeviceId(0), "host", HostParams::default()).core;
+        let mk = |addr| PendingRead {
+            port: PortIdx(0),
+            addr,
+            len: 4,
+            tag: Tag(0),
+            requester: DeviceId(1),
+            span: None,
+        };
+        for addr in [0x10, 0x20, 0x30] {
+            core.pending_reads.push_back(Some(mk(addr)));
+        }
+        // Serving the middle read first leaves the window's front in place.
+        assert_eq!(core.take_read(1).addr, 0x20);
+        assert_eq!((core.reads_base, core.pending_reads.len()), (0, 3));
+        // Serving the front trims it and the already-served middle.
+        assert_eq!(core.take_read(0).addr, 0x10);
+        assert_eq!((core.reads_base, core.pending_reads.len()), (2, 1));
+        assert_eq!(core.take_read(2).addr, 0x30);
+        assert_eq!((core.reads_base, core.pending_reads.len()), (3, 0));
     }
 
     #[test]

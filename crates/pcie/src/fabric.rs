@@ -22,7 +22,7 @@ use crate::link::{LinkParams, WireState};
 use crate::slab::{TlpHandle, TlpSlab};
 use crate::tlp::{DeviceId, Dir, FcClass, PortIdx, Tlp, TlpKind};
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use tca_sim::metrics::{CounterId, GaugeId, MeterId};
 use tca_sim::{
     Dur, EventQueue, FlightPayload, FlightRecorder, Fnv64, MetricsHub, MetricsSnapshot, Sampler,
@@ -47,6 +47,30 @@ pub enum ConfigError {
         /// The port the TLP was submitted on.
         port: PortIdx,
     },
+    /// A device sent a write or completion whose payload exceeds the
+    /// link's Max Payload Size.
+    OversizedPayload {
+        /// The sending device.
+        device: DeviceId,
+        /// The port the TLP was submitted on.
+        port: PortIdx,
+        /// Payload bytes of the dropped TLP.
+        len: u32,
+        /// The link's Max Payload Size.
+        max: u32,
+    },
+    /// A device sent a read request longer than the link's Max Read
+    /// Request Size.
+    ReadRequestTooLarge {
+        /// The sending device.
+        device: DeviceId,
+        /// The port the TLP was submitted on.
+        port: PortIdx,
+        /// Requested bytes of the dropped TLP.
+        len: u32,
+        /// The link's Max Read Request Size.
+        max: u32,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -55,15 +79,36 @@ impl std::fmt::Display for ConfigError {
             ConfigError::UnconnectedPort { device, port } => {
                 write!(f, "send on unconnected port dev{}:{port:?}", device.0)
             }
+            ConfigError::OversizedPayload {
+                device,
+                port,
+                len,
+                max,
+            } => write!(
+                f,
+                "TLP payload {len} exceeds MPS {max} on dev{}:{port:?}",
+                device.0
+            ),
+            ConfigError::ReadRequestTooLarge {
+                device,
+                port,
+                len,
+                max,
+            } => write!(
+                f,
+                "read request {len} exceeds MRRS {max} on dev{}:{port:?}",
+                device.0
+            ),
         }
     }
 }
 
-/// One queued fabric event. Kept small (16 bytes of payload) on purpose:
-/// the timing wheel moves entries between levels as time advances, and a
-/// `Deliver` carries only a [`TlpHandle`] into the fabric's [`TlpSlab`] —
-/// the packet itself is parked once at transmit and taken at delivery,
-/// never cloned and never dragged through the wheel.
+/// One queued fabric event. It is written into the event queue's slab once
+/// at schedule and taken once at pop: the timing wheel cascades by
+/// relinking slab indices between levels and never moves a payload. A
+/// `Deliver` carries only a [`TlpHandle`] into the fabric's [`TlpSlab`], so
+/// every slab entry stays small — the packet itself is parked once at
+/// transmit and taken at delivery, never cloned.
 enum Ev {
     Deliver {
         link: u32,
@@ -273,7 +318,11 @@ pub struct LinkDirStats {
 pub struct Fabric {
     queue: EventQueue<Ev>,
     devices: Vec<Box<dyn Device>>,
-    ports: HashMap<(DeviceId, PortIdx), (u32, Dir)>,
+    /// Dense port table: `ports[device][port]` is the link and transmit
+    /// direction attached there. A row grows only as far as its highest
+    /// connected port; a missing row, a port past the row's end and a
+    /// `None` slot all mean "unconnected".
+    ports: Vec<Vec<Option<(u32, Dir)>>>,
     links: Vec<LinkState>,
     tracer: Tracer,
     metrics: MetricsHub,
@@ -314,7 +363,7 @@ impl Fabric {
         Fabric {
             queue: EventQueue::new(),
             devices: Vec::new(),
-            ports: HashMap::new(),
+            ports: Vec::new(),
             links: Vec::new(),
             tracer: Tracer::default(),
             metrics: MetricsHub::new(),
@@ -515,8 +564,16 @@ impl Fabric {
                 "unknown device {:?}",
                 pt.0
             );
-            let prev = self.ports.insert(pt, (id, end));
-            assert!(prev.is_none(), "port {pt:?} already connected");
+            let (dev, port) = (pt.0 .0 as usize, pt.1 .0 as usize);
+            if self.ports.len() <= dev {
+                self.ports.resize_with(dev + 1, Vec::new);
+            }
+            let row = &mut self.ports[dev];
+            if row.len() <= port {
+                row.resize(port + 1, None);
+            }
+            assert!(row[port].is_none(), "port {pt:?} already connected");
+            row[port] = Some((id, end));
         }
         let metrics = &mut self.metrics;
         let mut mk_dir = |dir: Dir| {
@@ -617,9 +674,15 @@ impl Fabric {
     /// connected. Lets upper layers (the PEACH2 firmware's register file)
     /// map their local port numbering onto fabric link statistics.
     pub fn port_link(&self, dev: DeviceId, port: PortIdx) -> Option<(LinkId, Dir)> {
-        self.ports
-            .get(&(dev, port))
-            .map(|&(link, dir)| (LinkId(link), dir))
+        self.port_slot(dev, port)
+            .map(|(link, dir)| (LinkId(link), dir))
+    }
+
+    /// The port table entry of `(dev, port)`: `None` when the device has
+    /// no row, the port lies past the row's end, or the slot is empty.
+    #[inline]
+    fn port_slot(&self, dev: DeviceId, port: PortIdx) -> Option<(u32, Dir)> {
+        *self.ports.get(dev.0 as usize)?.get(port.0 as usize)?
     }
 
     /// The parameters a link was connected with (read-only introspection
@@ -809,7 +872,17 @@ impl Fabric {
     /// gap between events is already decided when this runs, so capturing
     /// inside it is invisible to the simulation: no event is scheduled and
     /// `now` does not move (captures are timestamped on the sample grid).
+    #[inline]
     fn sample_pending(&mut self) {
+        if self.sampler.is_some() {
+            self.sample_due();
+        }
+    }
+
+    /// The body of [`Fabric::sample_pending`], kept out of line so an
+    /// unsampled drain carries only the branch.
+    #[inline(never)]
+    fn sample_due(&mut self) {
         let Some(mut sampler) = self.sampler.take() else {
             return;
         };
@@ -1043,38 +1116,41 @@ impl Fabric {
     }
 
     /// Enqueues `tlp` for transmission from `(src, port)`. A send on an
-    /// unconnected port is a *configuration* error (bad routing table,
-    /// missing cable), not an internal invariant: the TLP is dropped and
-    /// recorded in [`Fabric::config_errors`] so `tca-verify` can surface it
-    /// as a diagnostic.
-    #[track_caller]
+    /// unconnected port, or a TLP larger than the link's MPS / MRRS, is a
+    /// *configuration* error (bad routing table, missing cable, chunk size
+    /// above the negotiated limit), not an internal invariant: the TLP is
+    /// dropped and recorded in [`Fabric::config_errors`] so `tca-verify`
+    /// can surface it as a diagnostic.
     fn submit(&mut self, src: DeviceId, port: PortIdx, tlp: Tlp) {
-        let Some(&(link, end)) = self.ports.get(&(src, port)) else {
-            let err = ConfigError::UnconnectedPort { device: src, port };
-            self.tracer.emit(TraceLevel::Txn, self.queue.now(), || {
-                format!("{err}: dropping {tlp:?}")
-            });
-            self.config_errors.push(err);
+        let Some((link, end)) = self.port_slot(src, port) else {
+            self.reject(ConfigError::UnconnectedPort { device: src, port }, &tlp);
             return;
         };
         let params = self.links[link as usize].params;
-        match &tlp.kind {
-            TlpKind::MemWrite { data, .. } | TlpKind::Completion { data, .. } => {
-                assert!(
-                    data.len() as u32 <= params.max_payload,
-                    "TLP payload {} exceeds MPS {} on link {link}",
-                    data.len(),
-                    params.max_payload
-                );
+        let oversized = match &tlp.kind {
+            TlpKind::MemWrite { data, .. } | TlpKind::Completion { data, .. }
+                if data.len() > params.max_payload as usize =>
+            {
+                Some(ConfigError::OversizedPayload {
+                    device: src,
+                    port,
+                    len: data.len() as u32,
+                    max: params.max_payload,
+                })
             }
-            TlpKind::MemRead { len, .. } => {
-                assert!(
-                    *len <= params.max_read_request,
-                    "read request {len} exceeds MRRS {}",
-                    params.max_read_request
-                );
+            TlpKind::MemRead { len, .. } if *len > params.max_read_request => {
+                Some(ConfigError::ReadRequestTooLarge {
+                    device: src,
+                    port,
+                    len: *len,
+                    max: params.max_read_request,
+                })
             }
-            TlpKind::Msi { .. } => {}
+            _ => None,
+        };
+        if let Some(err) = oversized {
+            self.reject(err, &tlp);
+            return;
         }
         let d = &mut self.links[link as usize].dirs[end.index()];
         let is_cpl = tlp.fc_class() == FcClass::Completion;
@@ -1109,6 +1185,14 @@ impl Fabric {
             self.metrics
                 .gauge_set(d.m.queue_depth, (d.reqq.len() + d.cplq.len()) as i64);
         }
+    }
+
+    /// Drops `tlp` and records why.
+    fn reject(&mut self, err: ConfigError, tlp: &Tlp) {
+        self.tracer.emit(TraceLevel::Txn, self.queue.now(), || {
+            format!("{err}: dropping {tlp:?}")
+        });
+        self.config_errors.push(err);
     }
 
     /// Reserves the wire and schedules delivery for a credit-approved TLP.
@@ -1451,12 +1535,121 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds MPS")]
-    fn oversized_payload_panics() {
-        let (mut f, req, _) = pair();
+    fn oversized_payload_is_recorded_not_fatal() {
+        let (mut f, req, mem) = pair();
         f.drive::<Requester, _>(req, |_, ctx| {
             ctx.send(PortIdx(0), Tlp::write(0, vec![0u8; 512]));
+            ctx.send(PortIdx(0), Tlp::write(0x1000, vec![7u8; 256]));
         });
+        f.run_until_idle();
+        let err = ConfigError::OversizedPayload {
+            device: req,
+            port: PortIdx(0),
+            len: 512,
+            max: 256,
+        };
+        assert_eq!(f.config_errors(), &[err]);
+        assert_eq!(
+            err.to_string(),
+            "TLP payload 512 exceeds MPS 256 on dev0:p0"
+        );
+        // The oversized write was dropped; the legal one behind it landed.
+        let m = f.device::<TestMem>(mem);
+        assert_eq!(m.delivered_writes.len(), 1);
+        assert_eq!(m.delivered_writes[0].1, 0x1000);
+        assert_eq!(f.link_stats(LinkId(0), Dir::Fwd).packets, 1);
+    }
+
+    #[test]
+    fn oversized_read_request_is_recorded_not_fatal() {
+        let (mut f, req, mem) = pair();
+        f.device_mut::<TestMem>(mem).mem.write(0x2000, b"pong");
+        f.drive::<Requester, _>(req, |d, ctx| {
+            ctx.send(PortIdx(0), Tlp::read(0, 1024, Tag(1), d.id));
+            ctx.send(PortIdx(0), Tlp::read(0x2000, 4, Tag(2), d.id));
+        });
+        f.run_until_idle();
+        let err = ConfigError::ReadRequestTooLarge {
+            device: req,
+            port: PortIdx(0),
+            len: 1024,
+            max: 512,
+        };
+        assert_eq!(f.config_errors(), &[err]);
+        assert_eq!(
+            err.to_string(),
+            "read request 1024 exceeds MRRS 512 on dev0:p0"
+        );
+        let r = f.device::<Requester>(req);
+        assert_eq!(r.got.len(), 1, "only the legal read completes");
+        assert_eq!(&r.got[0].1[..], b"pong");
+    }
+
+    #[test]
+    fn port_table_handles_sparse_ports_and_late_devices() {
+        let mut f = Fabric::new();
+        let a = f.add_device(|id| Requester { id, got: vec![] });
+        let b = f.add_device(TestMem::new);
+        // Sparse: port 9 on `a`, ports 0..9 never connected.
+        let l0 = f.connect((a, PortIdx(9)), (b, PortIdx(2)), LinkParams::gen2_x8());
+        // A device added after links exist, connected on a lower port of `a`.
+        let c = f.add_device(TestMem::new);
+        let l1 = f.connect((c, PortIdx(0)), (a, PortIdx(3)), LinkParams::gen2_x8());
+        assert_eq!(f.port_link(a, PortIdx(9)), Some((l0, Dir::Fwd)));
+        assert_eq!(f.port_link(b, PortIdx(2)), Some((l0, Dir::Rev)));
+        assert_eq!(f.port_link(c, PortIdx(0)), Some((l1, Dir::Fwd)));
+        assert_eq!(f.port_link(a, PortIdx(3)), Some((l1, Dir::Rev)));
+        for (dev, port) in [(a, 0), (a, 4), (a, 10), (a, 255), (b, 0), (c, 1)] {
+            assert_eq!(f.port_link(dev, PortIdx(port)), None, "{dev:?}:{port}");
+        }
+        // Unknown device id: no row at all.
+        assert_eq!(f.port_link(DeviceId(7), PortIdx(0)), None);
+
+        // Traffic on both links reaches the right receivers.
+        f.drive::<Requester, _>(a, |_, ctx| {
+            ctx.send(PortIdx(9), Tlp::write(0x40, vec![1u8; 64]));
+            ctx.send(PortIdx(3), Tlp::write(0x80, vec![2u8; 64]));
+        });
+        f.run_until_idle();
+        assert!(f.config_errors().is_empty(), "{:?}", f.config_errors());
+        assert_eq!(f.device::<TestMem>(b).delivered_writes.len(), 1);
+        assert_eq!(f.device::<TestMem>(c).delivered_writes.len(), 1);
+    }
+
+    #[test]
+    fn send_past_the_end_of_a_port_row_is_recorded_not_fatal() {
+        let (mut f, req, _mem) = pair();
+        // `req`'s row holds only port 0; ports 1 and 200 lie past its end.
+        f.drive::<Requester, _>(req, |_, ctx| {
+            ctx.send(PortIdx(1), Tlp::msi(0));
+            ctx.send(PortIdx(200), Tlp::msi(0));
+        });
+        f.run_until_idle();
+        assert_eq!(
+            f.config_errors(),
+            &[
+                ConfigError::UnconnectedPort {
+                    device: req,
+                    port: PortIdx(1)
+                },
+                ConfigError::UnconnectedPort {
+                    device: req,
+                    port: PortIdx(200)
+                },
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown device")]
+    fn connect_to_unknown_device_rejected() {
+        let mut f = Fabric::new();
+        let a = f.add_device(|id| Requester { id, got: vec![] });
+        f.connect(
+            (a, PortIdx(0)),
+            (DeviceId(3), PortIdx(0)),
+            LinkParams::gen2_x8(),
+        );
     }
 
     #[test]

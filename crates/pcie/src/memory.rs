@@ -6,15 +6,43 @@
 //! and reads zeroes from untouched pages, like freshly mapped memory.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Page size of the sparse store (also the pinning granularity GPUDirect
 /// RDMA uses — "GPU memory at page granularity", §III-C).
 pub const PAGE_SIZE: u64 = 4096;
 
+/// Hasher for page-number keys: one multiply by an odd 64-bit constant
+/// (Fibonacci hashing). Page numbers are small, dense integers, so the
+/// multiply spreads them over both the bucket bits and the high control
+/// bits well enough, at a fraction of SipHash's cost. It is deterministic
+/// and unkeyed, which is safe here: the keys come from the model, not from
+/// an adversary, and nothing iterates the map.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A sparse, zero-initialized byte store.
 #[derive(Default)]
 pub struct PageMemory {
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    pages: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<PageHasher>>,
 }
 
 impl PageMemory {

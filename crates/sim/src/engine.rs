@@ -19,8 +19,9 @@
 //!
 //! * `schedule_at` / `cancel` are O(1): a slab allocation plus a list
 //!   append (or unlink) — no tombstones, no hashing, no re-heapification.
-//! * `pop` is O(1) amortized: find the first occupied slot via per-level
-//!   occupancy bitmaps, unlink the head.
+//! * `pop` is O(1) amortized: a one-bit-per-level summary names the
+//!   finest occupied level, that level's occupancy bitmap names its first
+//!   occupied slot, and the head is unlinked.
 //!
 //! Determinism is preserved exactly (see DESIGN.md "Timing-wheel event
 //! queue"): sequence numbers are monotone, slot lists only ever append, and
@@ -39,6 +40,7 @@ const SLOT_BITS: u32 = 8;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Wheel levels; together they cover `2^(8*7) = 2^56` picoseconds.
 const LEVELS: usize = 7;
+const _: () = assert!(LEVELS <= u8::BITS as usize, "level summary is a u8");
 /// Null link in the intrusive slot lists.
 const NIL: u32 = u32::MAX;
 /// `Entry::level` marker: parked in the overflow `BTreeMap`.
@@ -103,6 +105,9 @@ pub struct EventQueue<E> {
     wheel: Vec<SlotList>,
     /// Per-level slot-occupancy bitmaps (256 bits each).
     occ: [[u64; 4]; LEVELS],
+    /// Level summary: bit `l` is set exactly when `occ[l]` has any bit set,
+    /// so the finest occupied level is one `trailing_zeros` away.
+    occ_levels: u8,
     /// Far-future tier: events whose time differs from `base` above the
     /// wheel horizon, keyed `(at, seq)` so drain order is pop order.
     overflow: BTreeMap<(u64, u64), u32>,
@@ -134,6 +139,7 @@ impl<E> EventQueue<E> {
             free: Vec::new(),
             wheel: vec![EMPTY_SLOT; LEVELS * SLOTS],
             occ: [[0; 4]; LEVELS],
+            occ_levels: 0,
             overflow: BTreeMap::new(),
             base: 0,
             live: 0,
@@ -414,6 +420,7 @@ impl<E> EventQueue<E> {
         }
         self.wheel[cell].tail = idx;
         self.occ[level][slot >> 6] |= 1u64 << (slot & 63);
+        self.occ_levels |= 1 << level;
     }
 
     /// Unlinks entry `idx` from its wheel slot list, clearing the
@@ -435,7 +442,7 @@ impl<E> EventQueue<E> {
             self.slab[next as usize].prev = prev;
         }
         if self.wheel[cell].head == NIL {
-            self.occ[level][slot >> 6] &= !(1u64 << (slot & 63));
+            self.clear_occupied(level, slot);
         }
     }
 
@@ -444,23 +451,33 @@ impl<E> EventQueue<E> {
         let slot = slot & (SLOTS - 1);
         let head = self.wheel[slot].head;
         self.wheel[slot] = EMPTY_SLOT;
-        self.occ[0][slot >> 6] &= !(1u64 << (slot & 63));
+        self.clear_occupied(0, slot);
         head
     }
 
-    /// First occupied `(level, slot)`, scanning coarse levels only when
-    /// every finer one is empty. By the wheel invariant the finest
-    /// occupied level's lowest slot holds the earliest event.
+    /// Clears the occupancy bit of `(level, slot)`, and the level's summary
+    /// bit when that was the level's last occupied slot.
+    #[inline]
+    fn clear_occupied(&mut self, level: usize, slot: usize) {
+        let words = &mut self.occ[level];
+        words[slot >> 6] &= !(1u64 << (slot & 63));
+        if words.iter().all(|&w| w == 0) {
+            self.occ_levels &= !(1 << level);
+        }
+    }
+
+    /// First occupied `(level, slot)`: the level summary names the finest
+    /// occupied level, whose bitmap names its lowest occupied slot. By the
+    /// wheel invariant that slot holds the earliest event.
     #[inline]
     fn first_occupied(&self) -> Option<(usize, usize)> {
-        for (level, words) in self.occ.iter().enumerate() {
-            for (w, &bits) in words.iter().enumerate() {
-                if bits != 0 {
-                    return Some((level, w * 64 + bits.trailing_zeros() as usize));
-                }
-            }
+        if self.occ_levels == 0 {
+            return None;
         }
-        None
+        let level = self.occ_levels.trailing_zeros() as usize;
+        let words = &self.occ[level];
+        let w = words.iter().position(|&bits| bits != 0)?;
+        Some((level, w * 64 + words[w].trailing_zeros() as usize))
     }
 
     /// Advances the base into level-`level` slot `slot` (zeroing all finer
@@ -472,7 +489,7 @@ impl<E> EventQueue<E> {
         let cell = level * SLOTS + slot;
         let mut idx = self.wheel[cell].head;
         self.wheel[cell] = EMPTY_SLOT;
-        self.occ[level][slot >> 6] &= !(1u64 << (slot & 63));
+        self.clear_occupied(level, slot);
         let shift = SLOT_BITS * level as u32;
         let keep_above = !((1u64 << (shift + SLOT_BITS)) - 1);
         self.base = (self.base & keep_above) | ((slot as u64) << shift);
@@ -796,6 +813,69 @@ mod tests {
         let popped: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(popped, expect);
         assert!(q.prof().cascades > 0, "boundary times must cascade");
+    }
+
+    /// The level summary mirrors the per-level bitmaps exactly.
+    fn assert_summary_consistent<E>(q: &EventQueue<E>) {
+        for (level, words) in q.occ.iter().enumerate() {
+            assert_eq!(
+                q.occ_levels & (1 << level) != 0,
+                words.iter().any(|&w| w != 0),
+                "summary bit of level {level} disagrees with its bitmap"
+            );
+        }
+    }
+
+    #[test]
+    fn level_summary_tracks_cascades_and_schedules() {
+        let mut q = EventQueue::new();
+        // 1000 and 1001 ps differ from base 0 above the low byte: level 1.
+        q.schedule_at(SimTime::from_ps(1_000), "a");
+        q.schedule_at(SimTime::from_ps(1_001), "b");
+        assert_eq!(q.occ_levels, 0b10);
+        assert_eq!(q.peek_time(), Some(SimTime::from_ps(1_000)));
+        // The pop cascades level 1's only bucket down: level 1 empties and
+        // its summary bit clears, leaving "b" alone on level 0.
+        assert_eq!(q.pop(), Some((SimTime::from_ps(1_000), "a")));
+        assert!(q.prof().cascades > 0);
+        assert_eq!(q.occ_levels, 0b01);
+        assert_summary_consistent(&q);
+        // A later schedule on an emptied level sets its bit again.
+        q.schedule_at(SimTime::from_ps(1_000 + 70_000), "c");
+        assert_eq!(q.occ_levels, 0b101);
+        assert_summary_consistent(&q);
+        // Peek and pop agree all the way down, and the summary follows.
+        while let Some(t) = q.peek_time() {
+            let (at, _) = q.pop().expect("peeked an event");
+            assert_eq!(at, t);
+            assert_summary_consistent(&q);
+        }
+        assert_eq!(q.occ_levels, 0);
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn level_summary_survives_cancel_and_batched_pops() {
+        let mut q = EventQueue::new();
+        let mut ids = Vec::new();
+        for (i, t) in [5u64, 300, 70_000, 20_000_000, 5, 300]
+            .into_iter()
+            .enumerate()
+        {
+            ids.push(q.schedule_at(SimTime::from_ps(t), i));
+        }
+        assert_summary_consistent(&q);
+        // Cancelling the lone level-3 event clears that level's bit.
+        assert!(q.cancel(ids[3]));
+        assert_eq!(q.occ_levels & 0b1000, 0);
+        assert_summary_consistent(&q);
+        let mut batch = Vec::new();
+        while let Some(t) = q.peek_time() {
+            batch.clear();
+            assert_eq!(q.pop_run(&mut batch), Some(t));
+            assert_summary_consistent(&q);
+        }
+        assert_eq!(q.occ_levels, 0);
     }
 
     #[test]

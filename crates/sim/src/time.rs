@@ -151,8 +151,18 @@ impl Dur {
     #[inline]
     pub fn for_bytes(bytes: u64, bytes_per_sec: u64) -> Dur {
         assert!(bytes_per_sec > 0, "zero-rate link");
-        // ps = bytes * 1e12 / rate, in u128 to avoid overflow for large bursts.
-        let ps = (bytes as u128 * PS_PER_S as u128).div_ceil(bytes_per_sec as u128);
+        // ps = bytes * 1e12 / rate. Up to ~18 MB the product fits a u64
+        // and one 64-bit division does; larger bursts widen to u128.
+        match bytes.checked_mul(PS_PER_S) {
+            Some(n) => Dur(n.div_ceil(bytes_per_sec)),
+            None => Self::for_bytes_wide(bytes, bytes_per_sec),
+        }
+    }
+
+    /// [`Dur::for_bytes`] in u128 arithmetic, for products past `u64::MAX`.
+    #[cold]
+    fn for_bytes_wide(bytes: u64, bytes_per_sec: u64) -> Dur {
+        let ps = (u128::from(bytes) * u128::from(PS_PER_S)).div_ceil(u128::from(bytes_per_sec));
         Dur(ps.try_into().expect("duration overflow"))
     }
 
@@ -334,6 +344,49 @@ mod tests {
         // 1 GiB at 1 GB/s ≈ 1.07 s; must not overflow intermediate math.
         let d = Dur::for_bytes(1 << 30, 1_000_000_000);
         assert!(d.as_s_f64() > 1.0 && d.as_s_f64() < 1.1);
+    }
+
+    #[test]
+    fn for_bytes_matches_the_u128_formula() {
+        // The reference formula; `None` where the result overflows a u64.
+        let wide = |bytes: u64, rate: u64| {
+            let ps = (u128::from(bytes) * u128::from(PS_PER_S)).div_ceil(u128::from(rate));
+            u64::try_from(ps).ok()
+        };
+        let check = |bytes: u64, rate: u64| {
+            if let Some(want) = wide(bytes, rate) {
+                let got = Dur::for_bytes(bytes, rate).as_ps();
+                assert_eq!(got, want, "bytes={bytes} rate={rate}");
+            }
+        };
+        // 18_446_744 B is the last size whose product with PS_PER_S fits a
+        // u64; 18_446_745 B is the first that takes the wide path.
+        let last_narrow = u64::MAX / PS_PER_S;
+        assert_eq!(last_narrow, 18_446_744);
+        assert!((last_narrow + 1).checked_mul(PS_PER_S).is_none());
+        for bytes in [0, 1, last_narrow - 1, last_narrow, last_narrow + 1, 1 << 40] {
+            for rate in [
+                1,
+                3,
+                830_000_000,
+                4_000_000_000,
+                3_000_000_000_000,
+                u64::MAX,
+            ] {
+                check(bytes, rate);
+            }
+        }
+        assert_eq!(
+            Dur::for_bytes(last_narrow + 1, 4_000_000_000).as_ps(),
+            wide(last_narrow + 1, 4_000_000_000).expect("fits")
+        );
+        // Seeded random sizes and rates across every magnitude.
+        let mut rng = crate::SimRng::seed_from_u64(0xb17e5);
+        for _ in 0..10_000 {
+            let bytes = rng.next_u64() >> (rng.next_u64() % 64);
+            let rate = (rng.next_u64() >> (rng.next_u64() % 64)).max(1);
+            check(bytes, rate);
+        }
     }
 
     #[test]

@@ -19,14 +19,15 @@
 //!   every window, chains beyond the doorbell/SRAM limits, overlapping
 //!   destination blocks (the `block_stride` rule as a diagnostic).
 //! * **Runtime echoes** (`TCA-F00x`): typed config errors the fabric and
-//!   chips recorded while running (dropped packets, dropped register
-//!   stores), surfaced post-hoc.
+//!   chips recorded while running (packets dropped on unconnected ports
+//!   or for exceeding MPS/MRRS, dropped register stores), surfaced
+//!   post-hoc.
 
 use crate::diag::{DiagSpan, Diagnostic, Report};
 use std::collections::BTreeSet;
 use tca_device::map::{TcaBlock, TcaMap};
 use tca_device::HostBridge;
-use tca_pcie::{AddrRange, Fabric, LinkId, PortIdx, TLP_OVERHEAD_BYTES};
+use tca_pcie::{AddrRange, ConfigError, Fabric, LinkId, PortIdx, TLP_OVERHEAD_BYTES};
 use tca_peach2::regs::SRAM_OFFSET;
 use tca_peach2::{Descriptor, EngineKind, Peach2, SubCluster, DESC_SIZE, PORT_N};
 
@@ -604,16 +605,29 @@ pub fn collect_chain(
 }
 
 /// Surfaces the typed configuration errors recorded while the simulation
-/// ran: packets dropped on unconnected ports (`TCA-F001`) and malformed
-/// register stores the chips rejected (`TCA-F002`).
+/// ran: packets dropped on unconnected ports (`TCA-F001`), malformed
+/// register stores the chips rejected (`TCA-F002`), and TLPs dropped for
+/// exceeding the link's MPS or MRRS (`TCA-F003`).
 pub fn runtime_diagnostics(fabric: &Fabric, sub: &SubCluster) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for e in fabric.config_errors() {
+        let (code, message, help) = match e {
+            ConfigError::UnconnectedPort { .. } => (
+                "TCA-F001",
+                "a packet was dropped on an unconnected port at run time",
+                "fix the routing table or connect the cable; run the static lint first",
+            ),
+            ConfigError::OversizedPayload { .. } | ConfigError::ReadRequestTooLarge { .. } => (
+                "TCA-F003",
+                "a TLP larger than the link's MPS/MRRS was dropped at run time",
+                "split payloads at the link's max_payload and reads at its max_read_request",
+            ),
+        };
         out.push(Diagnostic::error(
-            "TCA-F001",
+            code,
             DiagSpan::fabric(format!("{e}")),
-            "a packet was dropped on an unconnected port at run time",
-            "fix the routing table or connect the cable; run the static lint first",
+            message,
+            help,
         ));
     }
     for (i, &chipid) in sub.chips.iter().enumerate() {
@@ -634,6 +648,7 @@ mod tests {
     use super::*;
     use crate::diag::Severity;
     use tca_device::node::NodeConfig;
+    use tca_pcie::{Dir, Tag, Tlp};
     use tca_peach2::{build_dual_ring, build_ring, Peach2Params, PORT_S, PORT_W};
 
     fn ring(n: u32) -> (Fabric, SubCluster) {
@@ -938,6 +953,53 @@ mod tests {
         let diags = runtime_diagnostics(&f, &sub);
         assert!(codes(&diags).contains(&"TCA-F001"), "{diags:?}");
         assert!(codes(&diags).contains(&"TCA-F002"), "{diags:?}");
+    }
+
+    #[test]
+    fn port_table_matches_link_endpoints_on_a_dual_ring() {
+        let mut f = Fabric::new();
+        build_dual_ring(&mut f, 16, &NodeConfig::default(), Peach2Params::default());
+        assert!(f.link_count() > 16 * 3, "{} links", f.link_count());
+        for l in 0..f.link_count() as u32 {
+            let link = LinkId(l);
+            let [a, b] = f.link_endpoints(link);
+            assert_eq!(f.port_link(a.0, a.1), Some((link, Dir::Fwd)));
+            assert_eq!(f.port_link(b.0, b.1), Some((link, Dir::Rev)));
+        }
+    }
+
+    #[test]
+    fn oversized_tlps_surface_as_f003() {
+        // A host completion chunk above the 256 B MPS of its PEACH2 link:
+        // the host's answer to a 512 B read is dropped, not a panic.
+        let mut f = Fabric::new();
+        let mut cfg = NodeConfig::default();
+        cfg.host.completion_chunk = 512;
+        let sub = build_ring(&mut f, 2, &cfg, Peach2Params::default());
+        let chip = sub.chips[0];
+        f.drive::<Peach2, _>(chip, |_, ctx| {
+            ctx.send(PORT_N, Tlp::read(0x1000, 512, Tag(1), chip));
+            // And a read request above the 512 B MRRS, dropped at submit.
+            ctx.send(PORT_N, Tlp::read(0x1000, 1024, Tag(2), chip));
+        });
+        f.run_until_idle();
+        let errors = f.config_errors();
+        assert!(
+            matches!(
+                errors,
+                [
+                    ConfigError::ReadRequestTooLarge { len: 1024, .. },
+                    ConfigError::OversizedPayload {
+                        len: 512,
+                        max: 256,
+                        ..
+                    },
+                ]
+            ),
+            "{errors:?}"
+        );
+        let diags = runtime_diagnostics(&f, &sub);
+        assert_eq!(codes(&diags), ["TCA-F003", "TCA-F003"], "{diags:?}");
     }
 
     #[test]

@@ -10,6 +10,15 @@ cargo build --release --offline --workspace --bins
 cargo build --release --offline
 cargo test -q --offline
 
+# Benchmark gate: perfbench is a workspace of its own (it must link the
+# production build of the simulation crates), so its tests run by manifest.
+# A one-second pass of every workload then checks each workload's pinned
+# digest of simulated completion times and counters: a speed-only change
+# that moves a simulated count fails here with exit status 1.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 1 --seconds 1 --trace 0 > /dev/null
+
 # Scenario-runner smoke: the registry lists, a TCA-only sweep and a
 # backend-aware sweep both run, and the parallel runner emits the same
 # bytes at --jobs 1 and --jobs 4 (full jobs-invariance is also asserted by
