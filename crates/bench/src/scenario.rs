@@ -17,9 +17,9 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::Mutex;
 use tca_apps::{Stencil2dConfig, StencilConfig};
 use tca_core::prelude::*;
+use tca_device::HostBridge;
 use tca_sim::JsonValue;
 
 use crate::fmt_size;
@@ -208,8 +208,9 @@ pub struct Sweep {
 /// Runs every point of `sc` on `backend` across `jobs` worker threads.
 ///
 /// Each point builds its own fabric, so workers cannot interact; a shared
-/// atomic cursor hands out point indices and each result lands in its
-/// point's slot, making the output independent of the job count and of
+/// atomic cursor hands out point indices, each worker returns its
+/// `(index, row)` pairs through its join handle, and the rows are put back
+/// in point order, making the output independent of the job count and of
 /// thread scheduling. `telemetry` selects whether instrumented points
 /// embed their health summary; it never changes measurement fields.
 pub fn run_sweep(
@@ -219,30 +220,33 @@ pub fn run_sweep(
     telemetry: TelemetryMode,
 ) -> Sweep {
     let points = sc.points(backend);
-    let slots: Vec<Mutex<Option<JsonValue>>> = points.iter().map(|_| Mutex::new(None)).collect();
     let next = AtomicUsize::new(0);
     let workers = jobs.max(1).min(points.len().max(1));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= points.len() {
-                    break;
-                }
-                let row = (points[i].run)(telemetry);
-                *slots[i].lock() = Some(row);
-            });
-        }
+    let mut done: Vec<(usize, JsonValue)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= points.len() {
+                            break done;
+                        }
+                        done.push((i, (points[i].run)(telemetry)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
     });
+    done.sort_unstable_by_key(|(i, _)| *i);
     let rows = points
         .iter()
-        .zip(slots)
-        .map(|(p, slot)| {
-            (
-                p.label.clone(),
-                slot.into_inner().expect("worker filled the slot"),
-            )
-        })
+        .zip(done)
+        .map(|(p, (_, row))| (p.label.clone(), row))
         .collect();
     Sweep {
         scenario: sc.name,
@@ -373,6 +377,47 @@ macro_rules! on_backend {
 /// Every scenario `tca-bench` knows, in listing order.
 pub fn scenarios() -> Vec<Scenario> {
     vec![
+        Scenario {
+            name: "tables",
+            description: "Table I (HA-PACS base cluster) and Table II (test environment)",
+            figure: "Tables I/II",
+            backends: TCA_ONLY,
+            points: |_| {
+                [("I", presets::table_i()), ("II", presets::table_ii())]
+                    .into_iter()
+                    .flat_map(|(table, spec)| {
+                        spec.rows.into_iter().enumerate().map(move |(i, r)| {
+                            Point::new(format!("{table}.{}", i + 1), move || {
+                                row(vec![
+                                    ("table", JsonValue::from(table)),
+                                    ("item", JsonValue::from(r.item)),
+                                    ("value", JsonValue::from(r.value)),
+                                ])
+                            })
+                        })
+                    })
+                    .collect()
+            },
+        },
+        Scenario {
+            name: "peak",
+            description: "theoretical peak payload rate: raw rate x MPS / (MPS + TLP overhead)",
+            figure: "§IV-A1",
+            backends: TCA_ONLY,
+            points: |_| {
+                crate::theoretical_peaks()
+                    .into_iter()
+                    .map(|r| {
+                        Point::new(r.label, move || {
+                            row(vec![
+                                ("raw_bps", JsonValue::from(r.raw)),
+                                ("peak_bps", jf(r.peak)),
+                            ])
+                        })
+                    })
+                    .collect()
+            },
+        },
         Scenario {
             name: "fig7",
             description: "size vs bandwidth, PEACH2 <-> local CPU/GPU, 255-chained DMA",
@@ -523,6 +568,28 @@ pub fn scenarios() -> Vec<Scenario> {
             },
         },
         Scenario {
+            name: "hop-attribution",
+            description: "per-stage latency of a PIO store and a 4 KiB DMA put, 16-node ring",
+            figure: "§III-E",
+            backends: TCA_ONLY,
+            points: |_| {
+                (1..=8u32)
+                    .map(|hops| {
+                        Point::new(format!("{hops} hop"), move || {
+                            let mut o = row(vec![("hops", JsonValue::from(hops))]);
+                            for r in crate::latency_attribution(hops) {
+                                o.push(format!("{}_total_ns", r.kind), jf(r.total_ns));
+                                for (stage, ns) in r.stages {
+                                    o.push(format!("{}_{stage}_ns", r.kind), jf(ns));
+                                }
+                            }
+                            o
+                        })
+                    })
+                    .collect()
+            },
+        },
+        Scenario {
             name: "scaling",
             description: "ring-size scaling: diameter latency vs neighbour-shift bandwidth",
             figure: "§II-B",
@@ -538,6 +605,37 @@ pub fn scenarios() -> Vec<Scenario> {
                                 ("diameter_pio_ns", jf(r.diameter_pio_ns)),
                                 ("shift_aggregate_bps", jf(r.shift_aggregate)),
                                 ("shift_per_node_bps", jf(r.shift_per_node)),
+                            ])
+                        })
+                    })
+                    .collect()
+            },
+        },
+        Scenario {
+            name: "two-tier",
+            description: "TCA within a sub-cluster vs InfiniBand across (two 8-node rings)",
+            figure: "§II-B",
+            backends: TCA_ONLY,
+            points: |_| {
+                [6u32, 10, 14, 18, 20]
+                    .into_iter()
+                    .map(|p| 1u64 << p)
+                    .map(|len| {
+                        Point::new(fmt_size(len), move || {
+                            let mut sys = HierarchicalCluster::build(2, 8);
+                            let host = sys.mpi.nodes[0].host;
+                            sys.fabric
+                                .device_mut::<HostBridge>(host)
+                                .core_mut()
+                                .mem()
+                                .fill_pattern(0x4000_0000, len, 1);
+                            let (_, intra) = sys.send(0, 3, 0x4000_0000, 0x5000_0000, len);
+                            let (_, inter) = sys.send(0, 11, 0x4000_0000, 0x5200_0000, len);
+                            row(vec![
+                                ("size", JsonValue::from(len)),
+                                ("intra_ns", jf(intra.as_ns_f64())),
+                                ("inter_ns", jf(inter.as_ns_f64())),
+                                ("ratio", jf(inter.as_ns_f64() / intra.as_ns_f64())),
                             ])
                         })
                     })
@@ -858,6 +956,78 @@ mod tests {
             assert!(find(s.name).is_some());
         }
         assert!(find("no-such-scenario").is_none());
+        for name in ["tables", "peak", "two-tier", "hop-attribution"] {
+            assert!(find(name).is_some(), "{name} registered");
+        }
+    }
+
+    fn num(row: &JsonValue, key: &str) -> f64 {
+        row.get(key)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("no numeric {key} in {row:?}"))
+    }
+
+    fn sweep(name: &str) -> Sweep {
+        let sc = find(name).expect("registered");
+        run_sweep(&sc, BackendKind::Tca, 2, TelemetryMode::Off)
+    }
+
+    #[test]
+    fn tables_scenario_lists_both_spec_tables() {
+        let rows = sweep("tables").rows;
+        let count = |t: &str| {
+            rows.iter()
+                .filter(|(_, r)| r.get("table").and_then(|v| v.as_str()) == Some(t))
+                .count()
+        };
+        assert_eq!((count("I"), count("II")), (13, 11));
+    }
+
+    #[test]
+    fn peak_scenario_reproduces_the_3_66_gbps_ceiling() {
+        let rows = sweep("peak").rows;
+        let (label, gen2_x8) = &rows[0];
+        assert_eq!(label, "PCIe Gen2 x8 (PEACH2 ports)");
+        assert_eq!(num(gen2_x8, "raw_bps"), 4e9);
+        assert_eq!((num(gen2_x8, "peak_bps") / 1e6).round(), 3657.0);
+    }
+
+    #[test]
+    fn two_tier_scenario_pins_the_crossover() {
+        let rows = sweep("two-tier").rows;
+        let at = |label: &str| &rows.iter().find(|(l, _)| l == label).expect(label).1;
+        assert_eq!(
+            (num(at("64B"), "intra_ns"), num(at("64B"), "inter_ns")),
+            (1390.0, 1809.546)
+        );
+        assert_eq!(
+            (num(at("1MB"), "intra_ns"), num(at("1MB"), "inter_ns")),
+            (289_438.0, 171_649.615)
+        );
+        // TCA wins up to 16 KiB; InfiniBand's dual rail wins from 256 KiB.
+        let first_ib_win = rows.iter().position(|(_, r)| num(r, "ratio") < 1.0);
+        assert_eq!(first_ib_win.map(|i| rows[i].0.as_str()), Some("256KB"));
+        assert_eq!(rows[first_ib_win.unwrap() - 1].0, "16KB");
+    }
+
+    #[test]
+    fn hop_attribution_stages_partition_each_total() {
+        let rows = sweep("hop-attribution").rows;
+        assert_eq!(rows.len(), 8);
+        for (label, r) in &rows {
+            for kind in ["pio", "dma"] {
+                let total = num(r, &format!("{kind}_total_ns"));
+                let stages: f64 = r
+                    .as_object()
+                    .expect("object")
+                    .iter()
+                    .filter(|(k, _)| k.starts_with(kind) && !k.ends_with("_total_ns"))
+                    .map(|(_, v)| v.as_f64().expect("numeric stage"))
+                    .sum();
+                assert!((stages - total).abs() < 1e-6, "{label} {kind}: {r:?}");
+            }
+        }
+        assert_eq!(num(&rows[0].1, "pio_total_ns"), 781.0);
     }
 
     #[test]

@@ -564,7 +564,7 @@ mod tests {
             .all(|p| p.id != "host.interrupt_entry"));
     }
 
-    /// The ISSUE 10 acceptance criterion: on the dma put-latency
+    /// The profiler's headline check: on the dma put-latency
     /// scenario the top-ranked parameter lies on the descriptor path,
     /// and zeroing it recovers at least half of the measured chaining
     /// penalty (the baseline time in desc_fetch/desc_decode/desc_gap).

@@ -65,6 +65,14 @@ pub struct TcaEvent {
     target_count: usize,
 }
 
+/// Where the last chain started on a node leaves that node's board run log
+/// and host interrupt count once its doorbell lands and it completes.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ChainMark {
+    runs: usize,
+    irqs: usize,
+}
+
 /// A GPU allocation that has been pinned into the PCIe space (the full
 /// GPUDirect flow of §IV-A2), ready for TCA transfers.
 #[derive(Clone, Copy, Debug)]
@@ -229,24 +237,35 @@ impl TcaCluster {
 
     fn start_chain(&mut self, node: u32, descs: &[Descriptor]) -> TcaEvent {
         let drv = self.drivers[node as usize];
+        let mark = self.chains[node as usize];
         // One chain at a time per board: if this node's DMAC is still busy
-        // (a previous async transfer), run the world until it frees up.
-        while !self.fabric.device::<Peach2>(drv.chip).dma_idle() {
+        // (a previous async transfer), run the world until it frees up. A
+        // doorbell still in flight leaves the chip reading idle, so also
+        // wait until the run log shows every doorbell already rung.
+        loop {
+            let chip = self.fabric.device::<Peach2>(drv.chip);
+            if chip.dma_idle() && chip.runs.len() >= mark.runs {
+                break;
+            }
             assert!(self.fabric.step(), "deadlock waiting for a free DMAC");
         }
         drv.write_descriptors(&mut self.fabric, descs);
         drv.program_dma(&mut self.fabric, descs.len() as u32, EngineKind::Pipelined);
-        let vector = self
-            .fabric
-            .device::<Peach2>(drv.chip)
-            .params()
-            .dma_msi_vector;
+        let chip = self.fabric.device::<Peach2>(drv.chip);
+        let (vector, runs) = (chip.params().dma_msi_vector, chip.runs.len());
+        // The previous chain's completion interrupt may still be in flight;
+        // this chain's event must not be satisfied by it.
         let current = self
             .fabric
             .device::<HostBridge>(drv.host)
             .core()
-            .interrupt_count(vector);
+            .interrupt_count(vector)
+            .max(mark.irqs);
         drv.ring_doorbell(&mut self.fabric);
+        self.chains[node as usize] = ChainMark {
+            runs: runs + 1,
+            irqs: current + 1,
+        };
         TcaEvent {
             node,
             vector,
@@ -406,6 +425,37 @@ mod tests {
             both.as_ns_f64() < 1.5 * solo.as_ns_f64(),
             "both={both} solo={solo}"
         );
+    }
+
+    #[test]
+    fn back_to_back_async_puts_from_one_node_serialize() {
+        // The first doorbell is still a TLP in flight when the second put
+        // starts, so the chip reads idle; the second chain must wait for
+        // the chip to see that doorbell instead of ringing into a busy DMAC.
+        let mut c = TcaClusterBuilder::new(4).build();
+        let len = 4096u64;
+        let (d1, d2) = (pattern(len as usize, 6), pattern(len as usize, 7));
+        c.write(&MemRef::host(0, 0x4000_0000), &d1);
+        c.write(&MemRef::host(0, 0x4100_0000), &d2);
+        let e1 = c.memcpy_peer_async(
+            &MemRef::host(1, 0x5000_0000),
+            &MemRef::host(0, 0x4000_0000),
+            len,
+        );
+        let e2 = c.memcpy_peer_async(
+            &MemRef::host(2, 0x5000_0000),
+            &MemRef::host(0, 0x4100_0000),
+            len,
+        );
+        c.wait(e1);
+        c.wait(e2);
+        // The second event completes only with the second run's interrupt.
+        let chip = c.sub.chips[0];
+        assert_eq!(c.fabric.device::<Peach2>(chip).runs.len(), 2);
+        assert!(c.fabric.device::<Peach2>(chip).dma_idle());
+        c.synchronize();
+        assert_eq!(c.read(&MemRef::host(1, 0x5000_0000), len as usize), d1);
+        assert_eq!(c.read(&MemRef::host(2, 0x5000_0000), len as usize), d2);
     }
 
     #[test]

@@ -121,6 +121,7 @@ impl TcaClusterBuilder {
             mpi,
             coll: crate::collectives::Collectives::new(),
             config_fnv,
+            chains: vec![Default::default(); self.nodes as usize],
         }
     }
 }
@@ -142,6 +143,9 @@ pub struct TcaCluster {
     /// FNV config hash of the [`crate::params::FabricParams`] the cluster
     /// was built from — stamped into health reports for cache keying.
     pub config_fnv: u64,
+    /// Per node, where the last chain started through the API leaves the
+    /// board's run log and the host's interrupt count.
+    pub(crate) chains: Vec<crate::api::ChainMark>,
 }
 
 impl TcaCluster {

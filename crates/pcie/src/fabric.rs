@@ -435,9 +435,10 @@ impl Fabric {
         self.sampler.as_ref()
     }
 
-    /// Arms the progress watchdog: if no DRAM commit or interrupt is
-    /// delivered for `window` of simulated time — or the event queue drains
-    /// with TLPs still blocked on credits — the watchdog captures a
+    /// Arms the progress watchdog: if no memory commit (host or GPU DRAM,
+    /// PEACH2 SRAM) or interrupt is delivered for `window` of simulated
+    /// time — or the event queue drains with TLPs still blocked on
+    /// credits — the watchdog captures a
     /// [`StallReport`] diagnosing the stalled links and engines. Pure
     /// observation: arming it never schedules events.
     pub fn arm_watchdog(&mut self, window: Dur) {

@@ -427,6 +427,7 @@ impl Peach2 {
                     // Local staging write (pipelined engine looping back).
                     assert!(off >= SRAM_OFFSET, "DMA write into register block");
                     self.sram.write(off - SRAM_OFFSET, &data);
+                    ctx.note_progress();
                 } else {
                     let local = self.translate_own(block, off);
                     ctx.send(PORT_N, Tlp::write(local, data).with_span(span));
@@ -790,7 +791,10 @@ impl Peach2 {
             self.dma.run_bytes += data.len() as u64;
             self.emit_write(chunk.dst + offset as u64, data.to_vec(), ctx);
         } else {
+            // Data landing in SRAM is a commit, like a host or GPU DRAM
+            // write: a long DMA read into the chip must not look stalled.
             self.sram.write(chunk.dst + offset as u64, &data);
+            ctx.note_progress();
             self.dma.run_bytes += data.len() as u64;
         }
         let rem = &mut self.dma.desc_remaining[chunk.desc as usize];
@@ -844,6 +848,7 @@ impl Peach2 {
                         }
                     } else {
                         self.sram.write(off - SRAM_OFFSET, data);
+                        ctx.note_progress();
                     }
                 } else {
                     // Terminates at this node: port-N address conversion,

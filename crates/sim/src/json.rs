@@ -1,8 +1,9 @@
 //! Minimal JSON document model with a deterministic writer and a parser.
 //!
 //! The telemetry exporters (Chrome trace events, metrics snapshots) need to
-//! *emit* JSON, and their tests need to *parse it back*; `serde_json` is not
-//! vendored, so this module provides both halves over one small value type.
+//! *emit* JSON, and their tests need to *parse it back*; this module is the
+//! workspace's one JSON layer and provides both halves over one small value
+//! type.
 //!
 //! Determinism matters here: two instrumented simulation runs must produce
 //! byte-identical artifacts, so objects preserve insertion order (callers
@@ -223,9 +224,9 @@ fn write_number(n: f64, out: &mut String) {
 
 /// Appends `s` to `out` as a quoted JSON string literal, escaping quotes,
 /// backslashes, and control characters per RFC 8259. The single escaper for
-/// the whole workspace: [`JsonValue`] serialization, the flight recorder's
-/// JSONL lines, and `tca-bench`'s serde backend (`mini_json`) all call this,
-/// so every artifact escapes identically.
+/// the whole workspace: [`JsonValue`] serialization and the flight
+/// recorder's JSONL lines both call this, so every artifact escapes
+/// identically.
 pub fn write_escaped(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');

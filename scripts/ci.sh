@@ -32,6 +32,14 @@ if [[ "$one" != "$four" ]]; then
     echo "tca-bench smoke: sweep JSON differs between --jobs 1 and --jobs 4" >&2
     exit 1
 fi
+one=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+    --scenario hop-attribution --json --jobs 1)
+four=$(cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+    --scenario hop-attribution --json --jobs 4)
+if [[ "$one" != "$four" ]]; then
+    echo "tca-bench smoke: hop-attribution JSON differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
 
 # Fabric-health smoke: run the tca-top report with the stall watchdog
 # armed. A healthy ping-pong must never trip the watchdog, and the report

@@ -1,48 +1,45 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper plus the ablations,
-# saving text outputs to results/ alongside the JSON export.
+# saving text outputs to results/ and each sweep's JSON to results/json/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out=${1:-results}
-mkdir -p "$out"
+mkdir -p "$out/json"
+tca_bench=(cargo run -q --release --offline -p tca-bench --bin tca-bench --)
 
-# Figure/ablation sweeps run through the unified scenario runner; each
-# sweep point is an independent simulation, so --jobs parallelism cannot
-# perturb any measurement (output is byte-identical at any job count).
-scenarios=(fig7 fig8 fig9 fig12 latency ring-hops scaling contention \
-           comparison ablation-dmac ablation-qpi ablation-pearl \
-           put-latency cg stencil stencil2d nbody)
+# Every registered scenario runs through the unified scenario runner, on
+# each backend it supports; each sweep point is an independent simulation,
+# so --jobs parallelism cannot perturb any measurement (output is
+# byte-identical at any job count). The registry listing is the one source
+# of scenario names: its first column is the name, and the backends column
+# is the token that starts with "tca".
 jobs=${JOBS:-4}
-for s in "${scenarios[@]}"; do
-    echo "== $s =="
-    cargo run -q --release -p tca-bench --bin tca-bench -- \
-        --scenario "$s" --jobs "$jobs" | tee "$out/$s.txt"
-    echo
-done
-
-# Backend comparison: the application kernels again, over the MPI/IB
-# baseline paths (same numerics, different clock — the paper's §I claim).
-for s in cg stencil nbody; do
-    for backend in mpi mpi-gpudirect; do
+mapfile -t rows < <("${tca_bench[@]}" --list | tail -n +2)
+for row in "${rows[@]}"; do
+    read -r s rest <<< "$row"
+    backends=$(grep -oE '(^| )tca(,[a-z-]+)*( |$)' <<< "$rest" | head -n 1 | tr -d ' ')
+    for backend in ${backends//,/ }; do
+        name=$s
+        [[ $backend == tca ]] || name=$s-$backend
         echo "== $s ($backend) =="
-        cargo run -q --release -p tca-bench --bin tca-bench -- \
-            --scenario "$s" --backend "$backend" --jobs "$jobs" \
-            | tee "$out/$s-$backend.txt"
+        "${tca_bench[@]}" --scenario "$s" --backend "$backend" --jobs "$jobs" \
+            | tee "$out/$name.txt"
+        "${tca_bench[@]}" --scenario "$s" --backend "$backend" --jobs "$jobs" --json \
+            > "$out/json/$name.json"
         echo
     done
 done
 
-# Remaining standalone reports (multi-rig or artifact-writing).
-bins=(tables hierarchy telemetry latency_attrib trace_pio)
+# Remaining standalone reports (artifact-writing views over the tracer).
+bins=(telemetry trace_pio)
 for b in "${bins[@]}"; do
     echo "== $b =="
-    cargo run -q --release -p tca-bench --bin "$b" | tee "$out/$b.txt"
+    cargo run -q --release --offline -p tca-bench --bin "$b" | tee "$out/$b.txt"
     echo
 done
-cargo run -q --release -p tca-bench --bin export "$out/json"
 
 # Schema-stable perf-regression report (byte-identical across runs), with
 # every metric validated against its paper-anchored bound.
 echo "== bench_regression =="
-cargo run -q --release -p tca-bench --bin bench_regression "$out/BENCH_fabric.json"
+cargo run -q --release --offline -p tca-bench --bin bench_regression "$out/BENCH_fabric.json"
 echo "all outputs under $out/"
