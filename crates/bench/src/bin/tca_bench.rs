@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! tca-bench --list [--json]
-//! tca-bench --scenario <name> [--backend tca|mpi|mpi-gpudirect] [--json] [--jobs N]
-//!           [--top] [--telemetry-dir <dir>] [--profile] [--profile-dir <dir>]
+//! tca-bench --scenario <name> [--backend tca|mpi|mpi-gpudirect] [--json] [--json-out <file>]
+//!           [--jobs N] [--top] [--telemetry-dir <dir>] [--profile] [--profile-dir <dir>]
 //! ```
 //!
 //! Each sweep point builds its own independent simulation, so `--jobs N`
@@ -13,7 +13,9 @@
 //!
 //! `--json` additionally embeds a compact `telemetry` summary on the
 //! instrumented scenarios (`pingpong`, `put-latency`); collection is
-//! time-neutral, so measurement fields never change. `--top` switches to
+//! time-neutral, so measurement fields never change. `--json-out <file>`
+//! writes those same `--json` bytes to `<file>` from the run that prints
+//! the table, so one simulation yields both. `--top` switches to
 //! the continuous-health report mode: an instrumented run of the
 //! scenario's representative traffic, rendered as the per-link/per-engine
 //! congestion table (`tca-health/v1` JSON with `--json`).
@@ -49,7 +51,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use tca_bench::scenario::{find, list_json, run_sweep, scenarios, BackendKind, TelemetryMode};
+use tca_bench::scenario::{find, list_json, list_text, run_sweep, BackendKind, TelemetryMode};
 
 /// Counts this process's heap allocations so `--profile` reports live
 /// allocs/bytes per phase (tca-prof layer one; observationally neutral).
@@ -58,27 +60,9 @@ static ALLOC: tca_sim::prof::CountingAllocator = tca_sim::prof::CountingAllocato
 
 const USAGE: &str = "usage: tca-bench --list [--json]
        tca-bench --scenario <name> [--backend tca|mpi|mpi-gpudirect] [--json] [--jobs N]
-                 [--top] [--telemetry-dir <dir>] [--flight-dir <dir>]
+                 [--json-out <file>] [--top] [--telemetry-dir <dir>] [--flight-dir <dir>]
                  [--profile] [--profile-dir <dir>]
                  [--whatif] [--whatif-dir <dir>] [--set id=value]...";
-
-fn list() {
-    println!(
-        "{:<16} {:<17} {:<6} {:<22} description",
-        "scenario", "figure", "points", "backends"
-    );
-    for s in scenarios() {
-        let backends: Vec<&str> = s.backends.iter().map(|b| b.name()).collect();
-        println!(
-            "{:<16} {:<17} {:<6} {:<22} {}",
-            s.name,
-            s.figure,
-            s.points(s.backends[0]).len(),
-            backends.join(","),
-            s.description
-        );
-    }
-}
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("tca-bench: {msg}");
@@ -91,6 +75,7 @@ fn main() -> ExitCode {
     let mut scenario_name: Option<String> = None;
     let mut backend = BackendKind::Tca;
     let mut json = false;
+    let mut json_out: Option<PathBuf> = None;
     let mut jobs = 1usize;
     let mut do_list = false;
     let mut top = false;
@@ -106,6 +91,10 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--list" => do_list = true,
             "--json" => json = true,
+            "--json-out" => match args.next() {
+                Some(file) => json_out = Some(PathBuf::from(file)),
+                None => return fail("--json-out needs a file"),
+            },
             "--top" => top = true,
             "--whatif" => whatif = true,
             "--whatif-dir" => match args.next() {
@@ -156,7 +145,7 @@ fn main() -> ExitCode {
         if json {
             println!("{}", list_json());
         } else {
-            list();
+            print!("{}", list_text());
         }
         return ExitCode::SUCCESS;
     }
@@ -166,6 +155,9 @@ fn main() -> ExitCode {
     let Some(sc) = find(&name) else {
         return fail(&format!("unknown scenario '{name}' (see --list)"));
     };
+    if json_out.is_some() && (top || whatif) {
+        return fail("--json-out applies to sweep runs only");
+    }
     if !sc.supports(backend) {
         return fail(&format!(
             "scenario '{name}' does not support backend '{}'",
@@ -247,12 +239,16 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let telemetry = if json {
+    let telemetry = if json || json_out.is_some() {
         TelemetryMode::Summary
     } else {
         TelemetryMode::Off
     };
     let sweep = run_sweep(&sc, backend, jobs, telemetry);
+    if let Some(path) = &json_out {
+        std::fs::write(path, sweep.to_json() + "\n").expect("write sweep JSON");
+        eprintln!("tca-bench: wrote {}", path.display());
+    }
     if json {
         println!("{}", sweep.to_json());
     } else {

@@ -163,6 +163,42 @@ pub fn find(name: &str) -> Option<Scenario> {
     scenarios().into_iter().find(|s| s.name == name)
 }
 
+/// Human-readable registry listing (`tca-bench --list`): a header, then
+/// one row per scenario with its figure anchor, point count, backends and
+/// description. Each padded column is as wide as its longest cell,
+/// counted in chars (figure anchors carry a multi-byte `§`).
+pub fn list_text() -> String {
+    let rows: Vec<[String; 5]> = scenarios()
+        .iter()
+        .map(|s| {
+            let backends: Vec<&str> = s.backends.iter().map(|b| b.name()).collect();
+            [
+                s.name.to_string(),
+                s.figure.to_string(),
+                s.points(s.backends[0]).len().to_string(),
+                backends.join(","),
+                s.description.to_string(),
+            ]
+        })
+        .collect();
+    let header = ["scenario", "figure", "points", "backends", "description"].map(String::from);
+    let mut widths = [0; 4];
+    for row in std::iter::once(&header).chain(&rows) {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.chars().count());
+        }
+    }
+    let mut out = String::new();
+    for row in std::iter::once(&header).chain(&rows) {
+        for (w, cell) in widths.iter().zip(row) {
+            out.push_str(&format!("{cell:<w$} "));
+        }
+        out.push_str(&row[4]);
+        out.push('\n');
+    }
+    out
+}
+
 /// Machine-readable registry listing (`tca-bench --list --json`): one row
 /// per scenario with its description, figure anchor, point count, and
 /// supported backends — the same facts the human-readable `--list` table
@@ -286,12 +322,14 @@ impl Sweep {
     }
 
     /// Renders the sweep as an aligned text table (column order = field
-    /// order of the first row).
+    /// order of the first row). The embedded `telemetry` summary is left
+    /// out: the table shows the measurements, so it reads the same whether
+    /// or not telemetry was collected.
     pub fn render(&self) -> String {
         let mut cols: Vec<String> = vec!["label".into()];
         for (_, row) in &self.rows {
             for (k, _) in row.as_object().expect("rows are objects") {
-                if !cols.iter().any(|c| c == k) {
+                if k != "telemetry" && !cols.iter().any(|c| c == k) {
                     cols.push(k.clone());
                 }
             }
@@ -1106,6 +1144,38 @@ mod tests {
                     .unwrap_or_else(|| panic!("{label} on {} lacks telemetry", backend.name()));
                 assert!(t.get("peak_link_queue_depth").is_some(), "{label}: {t:?}");
             }
+        }
+    }
+
+    #[test]
+    fn the_table_reads_the_same_with_telemetry_on() {
+        let sc = find("put-latency").expect("registered");
+        let off = run_sweep(&sc, BackendKind::MpiStaged, 2, TelemetryMode::Off);
+        let on = run_sweep(&sc, BackendKind::MpiStaged, 2, TelemetryMode::Summary);
+        assert!(on.rows[0].1.get("telemetry").is_some());
+        assert_eq!(on.render(), off.render());
+    }
+
+    #[test]
+    fn list_columns_line_up_on_every_row() {
+        let text = list_text();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), scenarios().len() + 1, "header + one row each");
+        let at = lines[0].find("backends").expect("header names the column");
+        let offset = lines[0][..at].chars().count();
+        // Some figure anchors are wider than their byte-free neighbours
+        // (`§III-C/H workloads` is 18 chars); alignment is by char.
+        assert!(scenarios()
+            .iter()
+            .any(|s| s.figure.len() != s.figure.chars().count()));
+        for (line, sc) in lines[1..].iter().zip(scenarios()) {
+            let backends: Vec<&str> = sc.backends.iter().map(|b| b.name()).collect();
+            let chars: Vec<char> = line.chars().collect();
+            let cell: String = chars[offset..offset + backends.join(",").len()]
+                .iter()
+                .collect();
+            assert_eq!(cell, backends.join(","), "{}: {line}", sc.name);
+            assert_eq!(chars[offset - 1], ' ', "{}: {line}", sc.name);
         }
     }
 

@@ -722,10 +722,9 @@ impl Fabric {
     /// is already at.
     pub fn run_until_idle(&mut self) -> SimTime {
         let mut batch = std::mem::take(&mut self.batch_buf);
-        loop {
-            self.sample_pending();
-            if self.queue.pop_run(&mut batch).is_none() {
-                break;
+        while let Some(at) = self.queue.pop_run(&mut batch) {
+            if self.sampler.as_ref().is_some_and(|s| s.due_before(at)) {
+                self.capture_due(at);
             }
             for ev in batch.drain(..) {
                 if self.flight.is_some() {
@@ -760,8 +759,10 @@ impl Fabric {
     /// wall-clock timer and bucket host time per event kind, while the
     /// fabric itself stays wall-clock-free.
     pub fn step_kind(&mut self) -> Option<StepKind> {
-        self.sample_pending();
-        let (_, ev) = self.queue.pop()?;
+        let (at, ev) = self.queue.pop()?;
+        if self.sampler.as_ref().is_some_and(|s| s.due_before(at)) {
+            self.capture_due(at);
+        }
         if self.flight.is_some() {
             self.record_flight(&ev);
         }
@@ -869,33 +870,27 @@ impl Fabric {
         }
     }
 
-    /// Takes every sample due strictly before the next queued event. The
-    /// gap between events is already decided when this runs, so capturing
-    /// inside it is invisible to the simulation: no event is scheduled and
-    /// `now` does not move (captures are timestamped on the sample grid).
-    #[inline]
-    fn sample_pending(&mut self) {
-        if self.sampler.is_some() {
-            self.sample_due();
-        }
-    }
-
-    /// The body of [`Fabric::sample_pending`], kept out of line so an
-    /// unsampled drain carries only the branch.
+    /// Takes every sample due strictly before `next_event`, the instant of
+    /// the event (or batch) just popped and not yet dispatched. Popping
+    /// changes no gauge, so the levels captured here are the ones left by
+    /// the last dispatched event, exactly as if the sampler had peeked the
+    /// queue before the pop. No event is scheduled and `now` does not move
+    /// (captures are timestamped on the sample grid), so capturing is
+    /// invisible to the simulation. Callers check
+    /// [`Sampler::due_before`] first, so a drain pays one compare per pop
+    /// and comes here only about once per sample period.
     #[inline(never)]
-    fn sample_due(&mut self) {
+    fn capture_due(&mut self, next_event: SimTime) {
         let Some(mut sampler) = self.sampler.take() else {
             return;
         };
-        if let Some(next_event) = self.queue.peek_time() {
-            while sampler.due_before(next_event) {
-                let at = sampler.next_due();
-                self.refresh_live_gauges();
-                for dev in &mut self.devices {
-                    dev.publish_metrics(&mut self.metrics);
-                }
-                sampler.capture(at, &self.metrics);
+        while sampler.due_before(next_event) {
+            let at = sampler.next_due();
+            self.refresh_live_gauges();
+            for dev in &mut self.devices {
+                dev.publish_metrics(&mut self.metrics);
             }
+            sampler.capture(at, &self.metrics);
         }
         self.sampler = Some(sampler);
     }
@@ -2183,6 +2178,120 @@ mod tests {
             assert_eq!(rendered, eager[n - RING..], "spill={spill}");
             let full = f.flight_jsonl().expect("enabled");
             assert_eq!(full, log + &f.spans().jsonl());
+        }
+    }
+
+    #[test]
+    fn sampling_at_pop_matches_peek_reference() {
+        /// Seeded traffic source: every tick writes a random-sized payload,
+        /// sometimes reads back, and re-arms after a random gap on a 500 ps
+        /// grid, so events land on sample-grid instants too. Publishes its
+        /// count of outstanding reads as a gauge.
+        struct Pulse {
+            id: DeviceId,
+            rng: SimRng,
+            left: u32,
+            outstanding: i64,
+            tag: u16,
+            gauge: Option<GaugeId>,
+        }
+        impl Device for Pulse {
+            fn on_tlp(&mut self, _p: PortIdx, tlp: Tlp, _c: &mut Ctx<'_>) {
+                if matches!(tlp.kind, TlpKind::Completion { .. }) {
+                    self.outstanding -= 1;
+                }
+            }
+            fn on_timer(&mut self, tag: u64, ctx: &mut Ctx<'_>) {
+                let bytes = 32 * (1 + self.rng.gen_range(8) as usize);
+                ctx.send(
+                    PortIdx(0),
+                    Tlp::write(0x2000 + tag * 0x40, vec![tag as u8; bytes]),
+                );
+                if self.rng.gen_bool(0.3) {
+                    self.tag = self.tag.wrapping_add(1);
+                    ctx.send(PortIdx(0), Tlp::read(0x2000, 64, Tag(self.tag), self.id));
+                    self.outstanding += 1;
+                }
+                if self.left > 0 {
+                    self.left -= 1;
+                    let gap = Dur::from_ps(500 * (1 + self.rng.gen_range(60)));
+                    ctx.timer_in(gap, tag + 1);
+                }
+            }
+            fn publish_metrics(&mut self, hub: &mut MetricsHub) {
+                let name = format!("pulse.{}.outstanding", self.id.0);
+                let g = *self.gauge.get_or_insert_with(|| hub.gauge(name));
+                hub.gauge_set(g, self.outstanding);
+            }
+        }
+        let build = |seed: u64| {
+            let mut f = Fabric::new();
+            let mut rng = SimRng::seed_from_u64(seed);
+            for _ in 0..2 {
+                let pulse_rng = rng.fork();
+                let p = f.add_device(|id| Pulse {
+                    id,
+                    rng: pulse_rng,
+                    left: 150,
+                    outstanding: 0,
+                    tag: 0,
+                    gauge: None,
+                });
+                let mem = f.add_device(TestMem::new);
+                let mut lp = LinkParams::gen2_x8().with_latency(Dur::from_ns(10));
+                lp.posted_hdr_credits = 2 + rng.gen_range(3) as u32;
+                f.connect((p, PortIdx(0)), (mem, PortIdx(0)), lp);
+                f.schedule_timer(p, Dur::from_ns(1 + rng.gen_range(5)), 0);
+            }
+            f.enable_sampling(Dur::from_ns(5));
+            f.arm_watchdog(Dur::from_ms(1));
+            f
+        };
+        // What each driver leaves behind: series, end time, event count.
+        let outcome = |f: &Fabric| {
+            let series = f.sampler().expect("enabled").to_json();
+            (series, f.now(), f.events_executed())
+        };
+        for seed in [1, 7, 42] {
+            // The reference: the sampler peeks the queue before every pop.
+            let mut f = build(seed);
+            loop {
+                if let Some(next) = f.queue.peek_time() {
+                    f.capture_due(next);
+                }
+                let Some((_, ev)) = f.queue.pop() else {
+                    break;
+                };
+                f.dispatch(ev);
+                f.check_watchdog();
+            }
+            let reference = outcome(&f);
+            let sampler = f.sampler().expect("enabled");
+            assert!(
+                sampler.captures() > 100,
+                "seed {seed}: {}",
+                sampler.captures()
+            );
+            let busy = sampler
+                .series_by_name("pulse.0.outstanding")
+                .expect("gauge");
+            assert!(busy.samples.iter().any(|&(_, v)| v > 0), "seed {seed}");
+
+            let mut f = build(seed);
+            f.run_until_idle();
+            assert_eq!(outcome(&f), reference, "run_until_idle, seed {seed}");
+
+            let mut f = build(seed);
+            let mut deadline = SimTime::ZERO;
+            while f.queue_depth() > 0 {
+                deadline += Dur::from_ps(37_250);
+                f.run_until(deadline);
+            }
+            assert_eq!(outcome(&f), reference, "run_until slices, seed {seed}");
+
+            let mut f = build(seed);
+            while f.step() {}
+            assert_eq!(outcome(&f), reference, "step, seed {seed}");
         }
     }
 

@@ -48,10 +48,9 @@
 //! [`crate::SpanStore::jsonl`] lines) after the events so analysis tools
 //! can bisect span trees from the log alone.
 
-use crate::json::write_escaped;
+use crate::json::JsonLine;
 use crate::time::SimTime;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// Schema tag of the flight-log header line.
 pub const FLIGHT_SCHEMA: &str = "tca-flight/v1";
@@ -110,7 +109,7 @@ pub trait FlightPayload {
 
 /// One recorded dispatch, rendered: what the event loop executed, when,
 /// and on whose behalf.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlightEvent {
     /// 1-based dispatch sequence number (the alignment key for diffing).
     pub seq: u64,
@@ -138,41 +137,62 @@ impl FlightEvent {
     /// The event's JSONL line (no trailing newline), in the fixed key order
     /// the schema promises.
     pub fn jsonl(&self) -> String {
-        let mut out = String::with_capacity(96 + self.label.len());
-        write_line(self, &mut out);
+        let mut line = JsonLine::default();
+        write_line(self, &mut line);
+        let mut out = String::new();
+        line.finish(&mut out);
         out
     }
 }
 
-/// Appends `ev`'s JSONL line (no trailing newline) to `out`. The one
+/// Writes `ev`'s JSONL line (no trailing newline) into `line`. The one
 /// writer of event lines: [`FlightEvent::jsonl`], spill and export all
 /// render through it.
-fn write_line(ev: &FlightEvent, out: &mut String) {
+fn write_line(ev: &FlightEvent, line: &mut JsonLine) {
     // Integers print verbatim (not through the `f64` document model), so
     // `t_ps` stays exact at any magnitude.
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"t_ps\":{},\"kind\":\"{}\",\"node\":{}",
-        ev.seq,
-        ev.at.as_ps(),
-        ev.kind,
-        ev.node
-    );
+    line.raw("{\"seq\":");
+    line.digits(ev.seq);
+    line.raw(",\"t_ps\":");
+    line.digits(ev.at.as_ps());
+    line.raw(",\"kind\":\"");
+    line.raw(ev.kind);
+    line.raw("\",\"node\":");
+    line.digits(ev.node.into());
+    line.raw(",\"port\":");
     match ev.port {
-        Some(p) => {
-            let _ = write!(out, ",\"port\":{p}");
-        }
-        None => out.push_str(",\"port\":null"),
+        Some(p) => line.digits(p.into()),
+        None => line.raw("null"),
     }
+    line.raw(",\"span\":");
     match ev.span {
-        Some(s) => {
-            let _ = write!(out, ",\"span\":{s}");
-        }
-        None => out.push_str(",\"span\":null"),
+        Some(s) => line.digits(s),
+        None => line.raw("null"),
     }
-    let _ = write!(out, ",\"digest\":\"{:016x}\",\"label\":", ev.digest);
-    write_escaped(&ev.label, out);
-    out.push('}');
+    line.raw(",\"digest\":\"");
+    line.hex16(ev.digest);
+    line.raw("\",\"label\":");
+    line.str(&ev.label);
+    line.raw("}");
+}
+
+/// The buffers one rendered record leaves behind for the next: the label
+/// of the event and the bytes of its line. Export and spill render every
+/// record through one of these, so a long log allocates nothing per line.
+#[derive(Clone, Debug, Default)]
+struct LineWriter {
+    ev: FlightEvent,
+    line: JsonLine,
+}
+
+impl LineWriter {
+    /// Appends `rec`'s line, as dispatch number `seq`, to `out`.
+    fn write<P: FlightPayload>(&mut self, seq: u64, rec: &Record<P>, out: &mut String) {
+        rec.render_into(seq, &mut self.ev);
+        write_line(&self.ev, &mut self.line);
+        self.line.raw("\n");
+        self.line.finish(out);
+    }
 }
 
 /// A compact ring entry; see the module docs.
@@ -188,18 +208,22 @@ struct Record<P> {
 impl<P: FlightPayload> Record<P> {
     /// Renders the record as dispatch number `seq`.
     fn render(&self, seq: u64) -> FlightEvent {
-        let mut label = String::new();
-        self.payload.write_label(&mut label);
-        FlightEvent {
-            seq,
-            at: self.at,
-            kind: self.payload.kind(),
-            node: self.node,
-            port: self.port,
-            span: self.span,
-            digest: self.payload.digest(),
-            label,
-        }
+        let mut ev = FlightEvent::default();
+        self.render_into(seq, &mut ev);
+        ev
+    }
+
+    /// [`Record::render`] into `ev`, reusing its label buffer.
+    fn render_into(&self, seq: u64, ev: &mut FlightEvent) {
+        ev.seq = seq;
+        ev.at = self.at;
+        ev.kind = self.payload.kind();
+        ev.node = self.node;
+        ev.port = self.port;
+        ev.span = self.span;
+        ev.digest = self.payload.digest();
+        ev.label.clear();
+        self.payload.write_label(&mut ev.label);
     }
 }
 
@@ -213,6 +237,8 @@ pub struct FlightRecorder<P> {
     /// JSONL lines (newline-terminated) of records evicted from the ring;
     /// `None` disables spill and evictions only bump `dropped`.
     spill: Option<String>,
+    /// Render buffers of the spill path.
+    writer: LineWriter,
     next_seq: u64,
     dropped: u64,
 }
@@ -228,6 +254,7 @@ impl<P: FlightPayload> FlightRecorder<P> {
             capacity,
             ring: VecDeque::with_capacity(capacity),
             spill: None,
+            writer: LineWriter::default(),
             next_seq: 0,
             dropped: 0,
         }
@@ -258,8 +285,7 @@ impl<P: FlightPayload> FlightRecorder<P> {
             match &mut self.spill {
                 Some(lines) => {
                     let seq = self.next_seq - self.capacity as u64 + 1;
-                    write_line(&oldest.render(seq), lines);
-                    lines.push('\n');
+                    self.writer.write(seq, &oldest, lines);
                 }
                 None => self.dropped += 1,
             }
@@ -296,8 +322,14 @@ impl<P: FlightPayload> FlightRecorder<P> {
 
     /// The retained events, oldest first, each rendered on demand.
     pub fn events(&self) -> impl Iterator<Item = FlightEvent> + '_ {
-        let first = self.next_seq + 1 - self.ring.len() as u64;
-        (first..).zip(&self.ring).map(|(seq, rec)| rec.render(seq))
+        (self.first_seq()..)
+            .zip(&self.ring)
+            .map(|(seq, rec)| rec.render(seq))
+    }
+
+    /// The dispatch number of the oldest ring entry.
+    fn first_seq(&self) -> u64 {
+        self.next_seq + 1 - self.ring.len() as u64
     }
 
     /// The header line (no trailing newline).
@@ -324,9 +356,9 @@ impl<P: FlightPayload> FlightRecorder<P> {
         if let Some(lines) = &self.spill {
             out.push_str(lines);
         }
-        for ev in self.events() {
-            write_line(&ev, out);
-            out.push('\n');
+        let mut writer = LineWriter::default();
+        for (seq, rec) in (self.first_seq()..).zip(&self.ring) {
+            writer.write(seq, rec, out);
         }
     }
 
@@ -439,6 +471,87 @@ mod tests {
             v.get("label").and_then(JsonValue::as_str),
             Some("odd \"label\"\twith\ncontrol \u{1} bytes")
         );
+    }
+
+    /// The event-line rendering through `core::fmt` that the line writer
+    /// replaced.
+    fn fmt_line(ev: &FlightEvent) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{{\"seq\":{},\"t_ps\":{},\"kind\":\"{}\",\"node\":{}",
+            ev.seq,
+            ev.at.as_ps(),
+            ev.kind,
+            ev.node
+        );
+        match ev.port {
+            Some(p) => write!(out, ",\"port\":{p}").unwrap(),
+            None => out.push_str(",\"port\":null"),
+        }
+        match ev.span {
+            Some(s) => write!(out, ",\"span\":{s}").unwrap(),
+            None => out.push_str(",\"span\":null"),
+        }
+        let _ = write!(out, ",\"digest\":\"{:016x}\",\"label\":", ev.digest);
+        crate::json::write_escaped(&ev.label, &mut out);
+        out.push('}');
+        out
+    }
+
+    #[test]
+    fn event_lines_match_the_fmt_rendering() {
+        let labels = [
+            "MemWr[0x1000 +256B]",
+            "",
+            "odd \"label\"\twith\ncontrol \u{1} bytes",
+            "back\\slash",
+            "ünïcode ✓",
+        ];
+        let edges = [
+            0,
+            9,
+            10,
+            99_999,
+            1u64 << 53,
+            9_000_000_000_000_000,
+            u64::MAX,
+        ];
+        let mut spill = FlightRecorder::with_spill(2);
+        let mut expected = Vec::new();
+        for (i, label) in labels.iter().enumerate() {
+            for (j, &v) in edges.iter().enumerate() {
+                let ev = FlightEvent {
+                    seq: expected.len() as u64 + 1,
+                    at: SimTime::from_ps(v),
+                    kind: "deliver",
+                    node: v as u32,
+                    port: (j % 2 == 0).then_some(v as u8),
+                    span: (i % 2 == 0).then_some(v),
+                    digest: v.rotate_left(i as u32 * 7),
+                    label: label.to_string(),
+                };
+                assert_eq!(ev.jsonl(), fmt_line(&ev), "{ev:?}");
+                spill.record(
+                    ev.at,
+                    ev.node,
+                    ev.port,
+                    ev.span,
+                    Fixed {
+                        kind: ev.kind,
+                        digest: ev.digest,
+                        label: ev.label.clone(),
+                    },
+                );
+                expected.push(fmt_line(&ev) + "\n");
+            }
+        }
+        // Spilled and ring lines both go through the line writer.
+        let log = spill.jsonl();
+        let (header, lines) = log.split_once('\n').expect("header");
+        assert!(header.contains("\"dropped\":0"));
+        assert_eq!(lines, expected.concat());
     }
 
     #[test]

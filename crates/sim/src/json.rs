@@ -188,27 +188,124 @@ impl From<String> for JsonValue {
     }
 }
 
-/// Appends `v` exactly as `JsonValue::from(v).to_json()` would render it,
-/// without building the value: integers below 9e15 print as integers, and
-/// larger ones go through the same `f64` rendering the document model uses
-/// (so `u64::MAX` prints as `18446744073709552000`). The streaming writers
-/// (span records, flight lines) use this to stay byte-identical to the
-/// document model.
-pub fn write_u64(v: u64, out: &mut String) {
-    use std::fmt::Write as _;
-    if v < 9_000_000_000_000_000 {
-        let _ = write!(out, "{v}");
+/// Decimal digit pairs: bytes `2n` and `2n + 1` spell `n` for `n` in
+/// `0..100`, so the digit writer emits two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Below this, a `u64` is exact as an `f64` (it is under 2^53) and the
+/// document model prints it as an integer; from here on it goes through
+/// the `f64` rendering.
+const EXACT_LIMIT: u64 = 9_000_000_000_000_000;
+
+/// Writes the decimal digits of `v` into the tail of `buf`, two per step,
+/// and returns the index of the first digit. `u64::MAX` has 20 digits, so
+/// `buf` always fits.
+fn u64_digits(mut v: u64, buf: &mut [u8; 20]) -> usize {
+    let mut i = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     } else {
-        write_number(v as f64, out);
+        i -= 1;
+        buf[i] = b'0' + v as u8;
+    }
+    i
+}
+
+/// One JSONL line under construction, as bytes. The streaming writers
+/// (span records, flight lines) build each line here and append it to
+/// their output in one step; one buffer serves every line of an export,
+/// so the steady state allocates nothing. Digits go in as raw bytes and
+/// the line is UTF-8-checked once in [`JsonLine::finish`]; appending each
+/// digit run to a `String` instead costs a check (or a per-`char` push)
+/// per number, which made the flight export about a fifth slower.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct JsonLine(Vec<u8>);
+
+impl JsonLine {
+    /// Appends literal JSON text (keys, punctuation, names known not to
+    /// need escaping).
+    pub(crate) fn raw(&mut self, s: &str) {
+        self.0.extend_from_slice(s.as_bytes());
+    }
+
+    /// Appends the decimal digits of `v`, verbatim at any magnitude.
+    pub(crate) fn digits(&mut self, v: u64) {
+        let mut buf = [0; 20];
+        let start = u64_digits(v, &mut buf);
+        self.0.extend_from_slice(&buf[start..]);
+    }
+
+    /// Appends `v` exactly as `JsonValue::from(v).to_json()` would render
+    /// it, without building the value: integers below 9e15 print as
+    /// integers, and larger ones go through the same `f64` rendering the
+    /// document model uses (so `u64::MAX` prints as
+    /// `18446744073709552000`).
+    pub(crate) fn u64(&mut self, v: u64) {
+        if v < EXACT_LIMIT {
+            self.digits(v);
+        } else {
+            let mut s = String::new();
+            write_number(v as f64, &mut s);
+            self.raw(&s);
+        }
+    }
+
+    /// [`JsonLine::u64`] for an optional value; `None` prints as `null`.
+    pub(crate) fn opt_u64(&mut self, v: Option<u64>) {
+        match v {
+            Some(v) => self.u64(v),
+            None => self.raw("null"),
+        }
+    }
+
+    /// Appends `v` as 16 lower-case hex digits, zero-padded.
+    pub(crate) fn hex16(&mut self, v: u64) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut buf = [0; 16];
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = HEX[(v >> (60 - 4 * i)) as usize & 0xf];
+        }
+        self.0.extend_from_slice(&buf);
+    }
+
+    /// Appends `s` as a quoted string literal. A string that needs
+    /// escaping goes through [`write_escaped`], so both paths emit the
+    /// same bytes.
+    pub(crate) fn str(&mut self, s: &str) {
+        if needs_escape(s) {
+            let mut quoted = String::with_capacity(s.len() + 8);
+            write_escaped(s, &mut quoted);
+            self.raw(&quoted);
+        } else {
+            self.0.push(b'"');
+            self.raw(s);
+            self.0.push(b'"');
+        }
+    }
+
+    /// Appends the line to `out` and empties the buffer for the next one.
+    pub(crate) fn finish(&mut self, out: &mut String) {
+        out.push_str(std::str::from_utf8(&self.0).expect("a JSON line is UTF-8"));
+        self.0.clear();
     }
 }
 
-/// [`write_u64`] for an optional value; `None` prints as `null`.
-pub fn write_opt_u64(v: Option<u64>, out: &mut String) {
-    match v {
-        Some(v) => write_u64(v, out),
-        None => out.push_str("null"),
-    }
+/// True when `s` holds a byte that [`write_escaped`] rewrites.
+fn needs_escape(s: &str) -> bool {
+    s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20)
 }
 
 fn write_number(n: f64, out: &mut String) {
@@ -230,7 +327,7 @@ fn write_number(n: f64, out: &mut String) {
 pub fn write_escaped(s: &str, out: &mut String) {
     use std::fmt::Write as _;
     out.push('"');
-    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+    if !needs_escape(s) {
         out.push_str(s);
         out.push('"');
         return;
@@ -409,24 +506,59 @@ mod tests {
 
     #[test]
     fn u64_writer_matches_the_document_model() {
-        for v in [
-            0,
-            1,
+        // Both sides of every digit-count boundary, 9/10 up to 10^19, and
+        // both sides of the exact-integer and f64 cut-overs.
+        let mut values = vec![0, 1, u64::MAX];
+        let mut p = 10u64;
+        loop {
+            values.extend([p - 1, p]);
+            match p.checked_mul(10) {
+                Some(next) => p = next,
+                None => break,
+            }
+        }
+        values.extend([
             (1u64 << 53) - 1,
             1u64 << 53,
             (1u64 << 53) + 1,
-            8_999_999_999_999_999,
-            9_000_000_000_000_000,
-            9_000_000_000_000_001,
-            u64::MAX,
-        ] {
+            EXACT_LIMIT - 1,
+            EXACT_LIMIT,
+            EXACT_LIMIT + 1,
+        ]);
+        for v in values {
             let mut out = String::new();
-            write_u64(v, &mut out);
-            assert_eq!(out, JsonValue::from(v).to_json(), "value {v}");
+            let mut line = JsonLine::default();
+            line.u64(v);
+            line.raw(" ");
+            line.digits(v);
+            line.finish(&mut out);
+            let model = JsonValue::from(v).to_json();
+            assert_eq!(out, format!("{model} {v}"), "value {v}");
         }
         let mut out = String::new();
-        write_opt_u64(None, &mut out);
-        assert_eq!(out, "null");
+        let mut line = JsonLine::default();
+        line.opt_u64(None);
+        line.hex16(0xdead_beef);
+        line.finish(&mut out);
+        assert_eq!(out, "null00000000deadbeef");
+    }
+
+    #[test]
+    fn line_strings_escape_exactly_like_the_document_model() {
+        for s in [
+            "plain",
+            "",
+            "quote\"back\\slash",
+            "tab\there\n",
+            "\u{1}ctl",
+            "ünï",
+        ] {
+            let mut out = String::new();
+            let mut line = JsonLine::default();
+            line.str(s);
+            line.finish(&mut out);
+            assert_eq!(out, JsonValue::from(s).to_json(), "{s:?}");
+        }
     }
 
     #[test]

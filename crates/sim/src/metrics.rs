@@ -230,8 +230,24 @@ impl MetricsHub {
     /// Replaces a hub histogram with a copy of a device-owned one —
     /// idempotent publication for `Device::publish_metrics` (re-recording
     /// the samples instead would double-count them on the next snapshot).
+    ///
+    /// Callers must sync each `id` from one device histogram that only
+    /// ever grows (no reset, no second source). Equal sample counts then
+    /// mean the hub's copy is current and the copy is skipped, so a
+    /// sampler tick that republishes every device costs one compare per
+    /// histogram. A debug build asserts that the hub never holds more
+    /// samples than the source.
     pub fn histogram_sync(&mut self, id: HistogramId, source: &LatencyHistogram) {
-        self.histograms[id.0 as usize].1 = source.clone();
+        let (name, dst) = &mut self.histograms[id.0 as usize];
+        debug_assert!(
+            dst.count() <= source.count(),
+            "histogram_sync: source of {name:?} shrank ({} < {})",
+            source.count(),
+            dst.count()
+        );
+        if dst.count() != source.count() {
+            dst.clone_from(source);
+        }
     }
 
     /// Records bytes moved at a simulated instant.
@@ -503,6 +519,40 @@ mod tests {
         // A stale total never winds a counter backwards.
         hub.counter_sync(c, 41);
         assert_eq!(hub.counter_value(c), 42);
+    }
+
+    #[test]
+    fn histogram_sync_copies_only_when_samples_arrive() {
+        let mut hub = MetricsHub::new();
+        let h = hub.histogram("dev.wait_ns");
+        let mut dev_hist = LatencyHistogram::new();
+        dev_hist.record(Dur::from_ns(100));
+        hub.histogram_sync(h, &dev_hist);
+        let synced = hub.histogram_ref(h).to_string();
+        assert_eq!(synced, dev_hist.to_string());
+        // Nothing recorded since: the hub's copy stays as it was.
+        hub.histogram_sync(h, &dev_hist);
+        assert_eq!(hub.histogram_ref(h).to_string(), synced);
+        // New samples: the next sync copies them all.
+        dev_hist.record(Dur::from_ns(7));
+        dev_hist.record(Dur::from_us(3));
+        hub.histogram_sync(h, &dev_hist);
+        let h_ref = hub.histogram_ref(h);
+        assert_eq!(h_ref.count(), 3);
+        assert_eq!(h_ref.to_string(), dev_hist.to_string());
+        assert_eq!(h_ref.percentile_ns(0.5), dev_hist.percentile_ns(0.5));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "shrank")]
+    fn histogram_sync_rejects_a_shrinking_source() {
+        let mut hub = MetricsHub::new();
+        let h = hub.histogram("dev.wait_ns");
+        let mut dev_hist = LatencyHistogram::new();
+        dev_hist.record(Dur::from_ns(100));
+        hub.histogram_sync(h, &dev_hist);
+        hub.histogram_sync(h, &LatencyHistogram::new());
     }
 
     #[test]

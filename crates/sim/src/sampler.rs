@@ -5,10 +5,10 @@
 //!
 //! * [`Sampler`] records the level of every registered gauge at a fixed
 //!   simulated-time period. It never schedules events: the driving loop
-//!   (e.g. the PCIe fabric's `step()`) peeks the time of the next queued
-//!   event and lets the sampler catch up over the *already decided* gap, so
-//!   an instrumented run pops exactly the same events at exactly the same
-//!   instants as an uninstrumented one.
+//!   (e.g. the PCIe fabric's `step()`) pops the next event, and before
+//!   dispatching it lets the sampler catch up over the *already decided*
+//!   gap up to that event's instant, so an instrumented run pops exactly
+//!   the same events at exactly the same instants as an uninstrumented one.
 //! * [`Watchdog`] detects livelock/stall: the driver reports forward
 //!   progress (DRAM commits, interrupts) and checks for expiry between
 //!   events; when the configured simulated window passes without progress
@@ -34,7 +34,7 @@ pub struct GaugeSeries {
 ///
 /// A `Sampler` is passive: it holds the next due instant and the recorded
 /// series, and the event loop calls [`Sampler::capture`] for every due
-/// instant strictly before the next event is popped. Because capture
+/// instant strictly before the next event is dispatched. Because capture
 /// instants are a pure function of the period and the event timeline, the
 /// recorded series are byte-identical across runs — and absent entirely from
 /// the event queue, so enabling sampling cannot move a single timestamp.
@@ -73,7 +73,7 @@ impl Sampler {
     }
 
     /// True when a capture is due strictly before `t` — the driver calls
-    /// this with the time of the next queued event, so all same-instant
+    /// this with the time of the event it just popped, so all same-instant
     /// events at a boundary are processed before the boundary is sampled.
     pub fn due_before(&self, t: SimTime) -> bool {
         self.next < t

@@ -29,7 +29,7 @@
 //! the measured end-to-end latency *exactly* — no rounding, no double
 //! counting of nested intervals.
 
-use crate::json::{write_escaped, write_opt_u64, write_u64, JsonValue};
+use crate::json::{JsonLine, JsonValue};
 use crate::time::{Dur, SimTime};
 
 /// Identifier of one span. Allocated from a per-store counter starting at
@@ -456,12 +456,14 @@ impl SpanStore {
     /// end_ps}`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(self.json_len_hint());
+        let mut line = JsonLine::default();
         out.push('[');
         for i in 0..self.spans.len() {
             if i > 0 {
-                out.push(',');
+                line.raw(",");
             }
-            self.write_span(i, &mut out);
+            self.write_span(i, &mut line);
+            line.finish(&mut out);
         }
         out.push(']');
         out
@@ -477,11 +479,14 @@ impl SpanStore {
         out
     }
 
-    /// Appends the [`SpanStore::jsonl`] lines to `out`.
+    /// Appends the [`SpanStore::jsonl`] lines to `out`, each built in one
+    /// reused line buffer and appended whole.
     pub fn write_jsonl(&self, out: &mut String) {
+        let mut line = JsonLine::default();
         for i in 0..self.spans.len() {
-            self.write_span(i, out);
-            out.push('\n');
+            self.write_span(i, &mut line);
+            line.raw("\n");
+            line.finish(out);
         }
     }
 
@@ -491,25 +496,25 @@ impl SpanStore {
     }
 
     /// Writes the JSON object of span index `i` (0-based; ids are
-    /// 1-based) straight into `out`, byte-identical to the equivalent
+    /// 1-based) into `line`, byte-identical to the equivalent
     /// [`JsonValue`] object's `to_json()`.
-    fn write_span(&self, i: usize, out: &mut String) {
+    fn write_span(&self, i: usize, line: &mut JsonLine) {
         let s = &self.spans[i];
-        out.push_str("{\"id\":");
-        write_u64(i as u64 + 1, out);
-        out.push_str(",\"root\":");
-        write_u64(s.root.raw(), out);
-        out.push_str(",\"parent\":");
-        write_opt_u64(s.parent.map(SpanId::raw), out);
-        out.push_str(",\"name\":");
-        write_escaped(s.name, out);
-        out.push_str(",\"device\":");
-        write_opt_u64(s.device.map(u64::from), out);
-        out.push_str(",\"start_ps\":");
-        write_u64(s.start.as_ps(), out);
-        out.push_str(",\"end_ps\":");
-        write_opt_u64(s.end.map(SimTime::as_ps), out);
-        out.push('}');
+        line.raw("{\"id\":");
+        line.u64(i as u64 + 1);
+        line.raw(",\"root\":");
+        line.u64(s.root.raw());
+        line.raw(",\"parent\":");
+        line.opt_u64(s.parent.map(SpanId::raw));
+        line.raw(",\"name\":");
+        line.str(s.name);
+        line.raw(",\"device\":");
+        line.opt_u64(s.device.map(u64::from));
+        line.raw(",\"start_ps\":");
+        line.u64(s.start.as_ps());
+        line.raw(",\"end_ps\":");
+        line.opt_u64(s.end.map(SimTime::as_ps));
+        line.raw("}");
     }
 
     /// Chrome trace-event JSON for the span forest: every closed span

@@ -140,6 +140,26 @@ if [[ "$sweep_plain" != "$sweep_prof" ]]; then
     exit 1
 fi
 
+# JSON-artifact smoke: --json-out writes the --json bytes to a file from
+# the run that prints the table, on a scenario that embeds telemetry. The
+# file must equal the --json stdout and the stdout must equal the plain
+# table, so one simulation serves both outputs.
+cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+    --scenario put-latency --backend mpi --json > "$profdir/put-latency-mpi.stdout.json"
+cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+    --scenario put-latency --backend mpi > "$profdir/put-latency-mpi.plain.txt"
+cargo run -q --release --offline -p tca-bench --bin tca-bench -- \
+    --scenario put-latency --backend mpi --json-out "$profdir/put-latency-mpi.json" \
+    > "$profdir/put-latency-mpi.txt" 2> /dev/null
+if ! cmp -s "$profdir/put-latency-mpi.json" "$profdir/put-latency-mpi.stdout.json"; then
+    echo "tca-bench smoke: --json-out file differs from the --json stdout" >&2
+    exit 1
+fi
+if ! cmp -s "$profdir/put-latency-mpi.txt" "$profdir/put-latency-mpi.plain.txt"; then
+    echo "tca-bench smoke: --json-out changed the table on stdout" >&2
+    exit 1
+fi
+
 # Flight-recorder smoke (tca-flight): recording the 8-node ring twice must
 # produce byte-identical logs that the divergence engine confirms as zero
 # findings, and a single corrupted byte must be caught with a TCA-X code
@@ -202,6 +222,15 @@ if [[ "$top_fl" != "$top_nofl" ]]; then
 fi
 if ! diff -r "$profdir/tel_fl" "$profdir/tel_nofl" > /dev/null; then
     echo "tca-flight smoke: --flight-dir changed the trace/health artifacts" >&2
+    exit 1
+fi
+# Telemetry pin: the sampled run's series, health and trace artifacts are
+# held against the sha256 sums checked in at configs/telemetry/, so a
+# change to the sampler, the metrics hub or the JSON writers that moves a
+# byte fails here, not only a change between two runs of one build.
+pins="$PWD/configs/telemetry/ring-hops.sha256"
+if ! (cd "$profdir/tel_fl" && sha256sum --check --quiet "$pins"); then
+    echo "telemetry pin: ring-hops artifacts drifted from configs/telemetry/ring-hops.sha256" >&2
     exit 1
 fi
 

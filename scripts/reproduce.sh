@@ -22,10 +22,10 @@ for row in "${rows[@]}"; do
         name=$s
         [[ $backend == tca ]] || name=$s-$backend
         echo "== $s ($backend) =="
+        # One run per sweep: the table goes to stdout, the --json bytes to
+        # the file.
         "${tca_bench[@]}" --scenario "$s" --backend "$backend" --jobs "$jobs" \
-            | tee "$out/$name.txt"
-        "${tca_bench[@]}" --scenario "$s" --backend "$backend" --jobs "$jobs" --json \
-            > "$out/json/$name.json"
+            --json-out "$out/json/$name.json" | tee "$out/$name.txt"
         echo
     done
 done
